@@ -83,10 +83,10 @@ def _lint_file(path: str, program_paths=()) -> AnalysisResult:
             CODE_PARSE_ERROR, Severity.ERROR, exc.message,
             location=exc.location,
         ),), ("parse",))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, or not UTF-8
+        reason = getattr(exc, "strerror", None) or exc
         return AnalysisResult(path, (Diagnostic(
-            CODE_PARSE_ERROR, Severity.ERROR,
-            f"cannot read {path}: {exc.strerror or exc}",
+            CODE_PARSE_ERROR, Severity.ERROR, f"cannot read {path}: {reason}",
         ),), ("parse",))
     programs, extra = _assemble_programs(desc, program_paths)
     result = analyze(desc, programs=programs or None)

@@ -6,17 +6,22 @@ punctuation/operator lexemes.  Keywords are not reserved — the parser matches
 identifier *values* contextually, which keeps names like ``field`` usable as
 storage names.
 
-Comments run from ``#`` to end of line.
+Comments run from ``#`` to end of line.  ``grammar.md`` gives the lexical
+structure in full.
+
+One compiled pattern does the work, so the Python loop runs once per token
+or newline, never per character.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+import re
+from typing import List, NamedTuple
 
 from ..errors import IsdlSyntaxError, SourceLocation
 
-#: Multi-character operators, longest first so maximal munch works.
+#: Operator lexemes; the pattern tries the two-character ones first, so
+#: maximal munch works.
 _OPERATORS = [
     "<<",
     ">>",
@@ -56,125 +61,108 @@ _OPERATORS = [
     "@",
 ]
 
+# One match skips the spaces, tabs, carriage returns and comments before a
+# token and then matches the token.  A newline is a match of its own, so the
+# line count is a counter.  Alternatives are tried in order, most frequent
+# first; only hex/binary before INT and STRING before ``unterminated``
+# overlap.  ``\d`` is a Unicode decimal digit, the set int() accepts;
+# ``[^\W\d]`` also admits non-decimal digits and numerals such as ``²`` or
+# ``Ⅷ``, which the ID branch turns back into errors.  ``end`` matches only
+# at the end of the input and ``bad`` any other character, so after the
+# skip some alternative always matches and the engine never backtracks
+# into the skipped text.
+_TOKEN = re.compile(
+    r"(?:[ \t\r]+|#[^\n]*)*"
+    r"(?:"
+    r"(?P<ID>[^\W\d]\w*)"
+    r"|(?P<OP>"
+    + "|".join(re.escape(op) for op in _OPERATORS if len(op) == 2)
+    + "|["
+    + "".join(re.escape(op) for op in _OPERATORS if len(op) == 1)
+    + "])"
+    r"|(?P<newline>\n)"
+    r"|(?P<hex>0[xX][0-9a-fA-F_]*)"
+    r"|(?P<binary>0[bB][01_]*)"
+    r"|(?P<INT>\d[\d_]*)"
+    r'|(?P<STRING>"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*")'
+    r'|(?P<unterminated>")'
+    r"|(?P<end>\Z)"
+    r"|(?P<bad>[\s\S])"
+    r")"
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """A lexical token: ``kind`` is ID, INT, STRING, OP, or EOF."""
 
     kind: str
     value: object
     text: str
-    location: SourceLocation
+    filename: str
+    line: int
+    column: int
+
+    @property
+    def location(self) -> SourceLocation:
+        # built on demand: most tokens never report a position
+        return SourceLocation(self.filename, self.line, self.column)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind}, {self.text!r}, {self.location})"
 
 
+#: builds a Token without the Python-level NamedTuple constructor
+_new = tuple.__new__
+
+
 def tokenize(source: str, filename: str = "<isdl>") -> List[Token]:
     """Tokenize *source*, returning a list ending in an EOF token."""
-    return list(iter_tokens(source, filename))
-
-
-def iter_tokens(source: str, filename: str = "<isdl>") -> Iterator[Token]:
+    tokens: List[Token] = []
+    append = tokens.append
     line = 1
-    col = 1
-    i = 0
-    n = len(source)
-
-    def loc() -> SourceLocation:
-        return SourceLocation(filename, line, col)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if i < n and source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                advance(1)
-            continue
-        start = loc()
-        if ch == '"':
-            text, length = _scan_string(source, i, start)
-            yield Token("STRING", text, source[i : i + length], start)
-            advance(length)
-            continue
-        if ch.isdigit():
-            value, length = _scan_int(source, i, start)
-            yield Token("INT", value, source[i : i + length], start)
-            advance(length)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            yield Token("ID", text, text, start)
-            advance(j - i)
-            continue
-        op = _match_operator(source, i)
-        if op is not None:
-            yield Token("OP", op, op, start)
-            advance(len(op))
-            continue
-        raise IsdlSyntaxError(f"unexpected character {ch!r}", start)
-    yield Token("EOF", None, "", loc())
+    line_start = 0  # offset of the first character of the current line
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        start, stop = match.span(kind)
+        text = source[start:stop]
+        column = start - line_start + 1
+        if kind == "ID":
+            if not (text[0].isalpha() or text[0] == "_"):
+                _fail(f"unexpected character {text[0]!r}", filename, line,
+                      column)
+            append(_new(Token, ("ID", text, text, filename, line, column)))
+        elif kind == "OP":
+            append(_new(Token, ("OP", text, text, filename, line, column)))
+        elif kind == "newline":
+            line += 1
+            line_start = stop
+        elif kind == "INT":
+            append(_new(Token, ("INT", int(text.replace("_", "")), text,
+                                filename, line, column)))
+        elif kind == "hex" or kind == "binary":
+            digits = text[2:].replace("_", "")
+            if not digits:
+                _fail(f"malformed {kind} literal", filename, line, column)
+            append(Token("INT", int(digits, 16 if kind == "hex" else 2),
+                         text, filename, line, column))
+        elif kind == "STRING":
+            body = text[1:-1]
+            if "\\" in body:
+                body = _ESCAPE.sub(r"\1", body)
+            append(Token("STRING", body, text, filename, line, column))
+            if "\n" in text:  # an escaped newline
+                line += text.count("\n")
+                line_start = start + text.rindex("\n") + 1
+        elif kind == "end":
+            append(Token("EOF", None, "", filename, line, column))
+            break  # finditer would match the empty end once more
+        elif kind == "unterminated":
+            _fail("unterminated string literal", filename, line, column)
+        else:
+            _fail(f"unexpected character {text!r}", filename, line, column)
+    return tokens
 
 
-def _match_operator(source: str, i: int) -> Optional[str]:
-    for op in _OPERATORS:
-        if source.startswith(op, i):
-            return op
-    return None
-
-
-def _scan_string(source: str, i: int, start: SourceLocation):
-    j = i + 1
-    chars: List[str] = []
-    while j < len(source):
-        ch = source[j]
-        if ch == '"':
-            return "".join(chars), j - i + 1
-        if ch == "\n":
-            break
-        if ch == "\\" and j + 1 < len(source):
-            chars.append(source[j + 1])
-            j += 2
-            continue
-        chars.append(ch)
-        j += 1
-    raise IsdlSyntaxError("unterminated string literal", start)
-
-
-def _scan_int(source: str, i: int, start: SourceLocation):
-    n = len(source)
-    j = i
-    if source.startswith(("0x", "0X"), i):
-        j = i + 2
-        while j < n and (source[j] in "_" or source[j] in "0123456789abcdefABCDEF"):
-            j += 1
-        digits = source[i + 2 : j].replace("_", "")
-        if not digits:
-            raise IsdlSyntaxError("malformed hex literal", start)
-        return int(digits, 16), j - i
-    if source.startswith(("0b", "0B"), i):
-        j = i + 2
-        while j < n and source[j] in "01_":
-            j += 1
-        digits = source[i + 2 : j].replace("_", "")
-        if not digits:
-            raise IsdlSyntaxError("malformed binary literal", start)
-        return int(digits, 2), j - i
-    while j < n and (source[j].isdigit() or source[j] == "_"):
-        j += 1
-    return int(source[i:j].replace("_", "")), j - i
+def _fail(message: str, filename: str, line: int, column: int):
+    raise IsdlSyntaxError(message, SourceLocation(filename, line, column))

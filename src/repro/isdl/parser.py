@@ -1,7 +1,8 @@
 """Recursive-descent parser for ISDL descriptions.
 
 See ``grammar.md`` in this package for the concrete syntax.  The parser
-produces a :class:`repro.isdl.ast.Description`.  Location expressions
+produces a :class:`repro.isdl.ast.Description`.  Binary RTL expressions
+parse by precedence climbing over one operator table.  Location expressions
 (``RF[r]``, ``ACC[3:0]``) are parsed generically and resolved against the
 storage/alias/parameter tables in a post-pass, so section order never
 matters.
@@ -18,19 +19,20 @@ from .lexer import Token, tokenize
 
 _STORAGE_KEYWORDS = {kind.value: kind for kind in ast.StorageKind}
 
-#: Binary operator precedence tiers, loosest first (C-like).
-_BINARY_TIERS = [
-    ["||"],
-    ["&&"],
-    ["|"],
-    ["^"],
-    ["&"],
-    ["==", "!="],
-    ["<", "<=", ">", ">="],
-    ["<<", ">>"],
-    ["+", "-"],
-    ["*", "/", "%"],
-]
+#: Binary operator precedence tier, loosest 1 to tightest 10 (C-like).
+_BINARY_TIER = {
+    "||": 1,
+    "&&": 2,
+    "|": 3,
+    "^": 4,
+    "&": 5,
+    "==": 6, "!=": 6,
+    "<": 7, "<=": 7, ">": 7, ">=": 7,
+    "<<": 8, ">>": 8,
+    "+": 9, "-": 9,
+    "*": 10, "/": 10, "%": 10,
+}
+_UNARY_OPS = ("~", "-", "!")
 
 
 def parse(source: str, filename: str = "<isdl>") -> ast.Description:
@@ -59,57 +61,69 @@ class _Parser:
     # Cursor helpers
     # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    # Only an OP token's text can equal an operator (other texts are
+    # words, digits, quoted strings or empty), so operator tests compare
+    # the text alone.  A matched token is never the EOF token, so the
+    # cursor steps past it directly.
+
+    def _peek(self) -> Token:
+        # the cursor never passes the final EOF token (see _next)
+        return self._tokens[self._pos]
 
     def _next(self) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind != "EOF":
             self._pos += 1
         return token
 
     def _at_id(self, *names: str) -> bool:
-        token = self._peek()
+        token = self._tokens[self._pos]
         return token.kind == "ID" and token.value in names
 
     def _at_op(self, op: str) -> bool:
-        token = self._peek()
-        return token.kind == "OP" and token.value == op
+        return self._tokens[self._pos].text == op
 
     def _accept_id(self, *names: str) -> Optional[Token]:
-        if self._at_id(*names):
-            return self._next()
+        token = self._tokens[self._pos]
+        if token.kind == "ID" and token.value in names:
+            self._pos += 1
+            return token
         return None
 
     def _accept_op(self, op: str) -> Optional[Token]:
-        if self._at_op(op):
-            return self._next()
+        token = self._tokens[self._pos]
+        if token.text == op:
+            self._pos += 1
+            return token
         return None
 
     def _expect_id(self, *names: str) -> Token:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind == "ID" and (not names or token.value in names):
-            return self._next()
+            self._pos += 1
+            return token
         expected = " or ".join(repr(n) for n in names) if names else "identifier"
         raise IsdlSyntaxError(
             f"expected {expected}, found {token.text!r}", token.location
         )
 
     def _expect_op(self, op: str) -> Token:
-        token = self._peek()
-        if token.kind == "OP" and token.value == op:
-            return self._next()
+        token = self._tokens[self._pos]
+        if token.text == op:
+            self._pos += 1
+            return token
         raise IsdlSyntaxError(
             f"expected {op!r}, found {token.text!r}", token.location
         )
 
     def _expect_int(self) -> int:
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind != "INT":
             raise IsdlSyntaxError(
                 f"expected integer, found {token.text!r}", token.location
             )
-        return self._next().value
+        self._pos += 1
+        return token.value
 
     def _expect_string(self) -> str:
         token = self._peek()
@@ -551,10 +565,7 @@ class _Parser:
         return suffixes
 
     def _parse_expr(self) -> rtl.Expr:
-        return self._parse_ternary()
-
-    def _parse_ternary(self) -> rtl.Expr:
-        cond = self._parse_binary(0)
+        cond = self._parse_binary(1)
         if self._accept_op("?"):
             then = self._parse_expr()
             self._expect_op(":")
@@ -562,22 +573,25 @@ class _Parser:
             return rtl.Cond(cond, then, other)
         return cond
 
-    def _parse_binary(self, tier: int) -> rtl.Expr:
-        if tier >= len(_BINARY_TIERS):
-            return self._parse_unary()
-        left = self._parse_binary(tier + 1)
-        ops = _BINARY_TIERS[tier]
-        while self._peek().kind == "OP" and self._peek().value in ops:
-            op = self._next().value
-            right = self._parse_binary(tier + 1)
-            left = rtl.BinOp(op, left, right)
-        return left
+    def _parse_binary(self, min_tier: int) -> rtl.Expr:
+        """Precedence climbing: operators of tier >= *min_tier* bind here;
+        each right operand takes only tighter tiers, so equal tiers
+        associate to the left."""
+        left = self._parse_unary()
+        tokens = self._tokens
+        while True:
+            token = tokens[self._pos]
+            tier = _BINARY_TIER.get(token.text)
+            if tier is None or tier < min_tier:
+                return left
+            self._pos += 1
+            left = rtl.BinOp(token.text, left, self._parse_binary(tier + 1))
 
     def _parse_unary(self) -> rtl.Expr:
-        for op in ("~", "-", "!"):
-            if self._at_op(op):
-                self._next()
-                return rtl.UnOp(op, self._parse_unary())
+        token = self._tokens[self._pos]
+        if token.text in _UNARY_OPS:
+            self._pos += 1
+            return rtl.UnOp(token.text, self._parse_unary())
         return self._parse_primary()
 
     def _parse_primary(self) -> rtl.Expr:

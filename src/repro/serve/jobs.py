@@ -120,6 +120,9 @@ class Job:
     key: Optional[Tuple] = None
     state: JobState = JobState.QUEUED
     created_at: float = field(default_factory=time.time)
+    #: seconds from the submission's entry to admission (before the ISDL
+    #: parse, which precedes created_at) until the admit/reject decision
+    admission_s: Optional[float] = None
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     attempts: int = 0
@@ -200,6 +203,7 @@ class Job:
             max_steps=self.max_steps,
             timeout_s=self.timeout_s,
             attempts=self.attempts,
+            admission_s=self.admission_s,
             started_at=self.started_at,
             finished_at=self.finished_at,
             cached=self.cached,

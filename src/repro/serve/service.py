@@ -47,7 +47,9 @@ when that is enabled — counters ``serve.jobs_accepted``,
 ``serve.jobs_throttled``, ``serve.jobs_retried``, ``serve.jobs_timeout``,
 ``serve.jobs_failed``, ``serve.jobs_completed``, ``serve.jobs_cancelled``,
 ``serve.evaluations_run``, ``serve.worker_errors``, gauge
-``serve.queue_depth``, histogram ``serve.job_seconds``.
+``serve.queue_depth``, histograms ``serve.job_seconds`` and
+``serve.admission_seconds`` (the admission time each job record carries
+as ``admission_s``).
 """
 
 from __future__ import annotations
@@ -275,6 +277,7 @@ class EvaluationService:
         """Submission body; journal replay re-enters here with the
         original *job_id* and ``enforce_bound=False`` (an accepted job
         must never be dropped because the restart refilled the queue)."""
+        entered = time.perf_counter()
         if self.draining:
             raise ServiceUnavailableError("service is draining")
         job = self._parse_payload(payload, job_id=job_id)
@@ -282,11 +285,13 @@ class EvaluationService:
         if job.diagnostics:
             # did not parse (ISDL001) or named a bad strategy (SRV401):
             # rejected on record, never costs a queue slot
+            self._stamp_admission(job, entered)
             return self._reject(job)
         if self.config.static_check:
             gate = self._gate_diagnostics(job)
             if gate is not None:
                 job.diagnostics = gate
+                self._stamp_admission(job, entered)
                 return self._reject(job)
         with self._lock:
             if self.config.coalesce:
@@ -295,6 +300,7 @@ class EvaluationService:
                     job.state = leader.state
                     job.coalesced_with = leader.id
                     leader.followers.append(job)
+                    self._stamp_admission(job, entered)
                     self._register(job)
                     self._count("serve.jobs_coalesced")
                     self._journal_admit(job)
@@ -304,6 +310,8 @@ class EvaluationService:
             except QueueFullError:
                 self._count("serve.jobs_throttled")
                 raise
+            # a worker cannot finish the job before the lock is released
+            self._stamp_admission(job, entered)
             self._inflight[job.key] = job
             self._register(job)
             self._count("serve.jobs_accepted")
@@ -568,6 +576,12 @@ class EvaluationService:
         self._count("serve.jobs_rejected")
         self._journal_result(job)
         return job
+
+    def _stamp_admission(self, job: Job, entered: float) -> None:
+        """Record the admission time: from entry to ``_admit`` (before
+        the ISDL parse) until the admit or reject decision."""
+        job.admission_s = time.perf_counter() - entered
+        self._observe("serve.admission_seconds", job.admission_s)
 
     def _register(self, job: Job) -> None:
         self._jobs[job.id] = job

@@ -64,12 +64,21 @@ def test_fail_on_info_makes_clean_arch_fail_with_1(capsys):
     capsys.readouterr()
 
 
-def test_parse_error_is_a_diagnostic_not_a_crash(tmp_path, capsys):
+@pytest.mark.parametrize("content, message", [
+    (b"processor !!!\n", "expected string"),
+    # a non-decimal digit: str.isdigit() accepts it, int() does not
+    ('processor "p" section format word 1\u00b2 end\n'.encode("utf-8"),
+     "unexpected character '\u00b2'"),
+    (b"processor \xff\n", "cannot read"),  # not UTF-8
+], ids=["syntax", "superscript-digit", "not-utf8"])
+def test_parse_error_is_a_diagnostic_not_a_crash(tmp_path, capsys,
+                                                 content, message):
     bad = tmp_path / "bad.isdl"
-    bad.write_text("processor !!!\n")
+    bad.write_bytes(content)
     assert main([str(bad)]) == 2
     out = capsys.readouterr().out
     assert "ISDL001" in out
+    assert message in out
 
 
 def test_missing_file_is_a_diagnostic(tmp_path, capsys):

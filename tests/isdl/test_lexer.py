@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IsdlSyntaxError
+from repro.errors import IsdlSyntaxError, SourceLocation
 from repro.isdl.lexer import tokenize
 
 
@@ -91,3 +91,30 @@ def test_unexpected_character_reports_location():
     with pytest.raises(IsdlSyntaxError) as excinfo:
         tokenize("a\n  `")
     assert "2:3" in str(excinfo.value)
+
+
+def test_non_decimal_digit_is_an_unexpected_character():
+    # '²' passes str.isdigit() but int() rejects it: the integer stops
+    # before it and the digit itself is reported
+    with pytest.raises(IsdlSyntaxError) as excinfo:
+        tokenize("x 1²", filename="f.isdl")
+    assert excinfo.value.message == "unexpected character '²'"
+    assert str(excinfo.value.location) == "f.isdl:1:4"
+
+
+def test_unicode_decimal_digits_are_integers():
+    tokens = tokenize("٣١ é")
+    assert [(t.kind, t.value) for t in tokens[:-1]] == [
+        ("INT", 31), ("ID", "é")]
+
+
+def test_escaped_newline_in_a_string_advances_the_line():
+    tokens = tokenize('"a\\\nb" c')
+    assert tokens[0].value == "a\nb"
+    assert (tokens[1].line, tokens[1].column) == (2, 4)
+
+
+def test_location_is_built_from_the_token_fields():
+    token = tokenize("\n  ab", filename="f.isdl")[0]
+    assert (token.filename, token.line, token.column) == ("f.isdl", 2, 3)
+    assert token.location == SourceLocation("f.isdl", 2, 3)

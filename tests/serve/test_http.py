@@ -79,6 +79,19 @@ def test_invalid_description_answers_422_with_diagnostics(server):
     assert "severity" in record["diagnostics"][0]
 
 
+def test_non_decimal_digit_answers_422_not_a_dropped_connection(server):
+    # '1²' passes str.isdigit(); it must be a diagnostic, not a crash
+    status, record = request(
+        f"{server.url}/v1/jobs", "POST",
+        {"isdl": 'processor "p" section format word 1\u00b2 end'},
+    )
+    assert status == 422
+    assert record["state"] == "rejected"
+    diagnostic = record["diagnostics"][0]
+    assert diagnostic["code"] == "ISDL001"
+    assert diagnostic["message"] == "unexpected character '\u00b2'"
+
+
 def test_malformed_payloads_answer_400(server):
     url = f"{server.url}/v1/jobs"
     assert request(url, "POST", b"{not json")[0] == 400
@@ -143,6 +156,7 @@ def test_metrics_exports_prometheus_text(server):
     assert "serve_jobs_accepted_total" in text
     assert "serve_queue_depth" in text
     assert "serve_job_seconds_bucket" in text
+    assert "serve_admission_seconds_bucket" in text
 
 
 # ----------------------------------------------------------------------

@@ -163,6 +163,30 @@ def test_duplicate_inflight_submission_coalesces(service_factory):
     assert counter(service, "serve.jobs_completed") == 2
 
 
+def test_accepted_coalesced_and_rejected_jobs_carry_admission_time(
+        service_factory):
+    release = threading.Event()
+
+    def gated(job):
+        release.wait(10)
+        return stub_evaluation(job.label)
+
+    service = service_factory(evaluate_fn=gated, workers=1,
+                              static_check=True)
+    leader = service.submit(payload())
+    twin = service.submit(payload())
+    rejected = service.submit({"isdl": "processor oops {"})
+    release.set()
+    assert twin.coalesced_with == leader.id
+    assert rejected.state is JobState.REJECTED
+    for job in (leader, twin, rejected):
+        record = service.wait(job.id, timeout=10.0).to_dict(full=True)
+        assert record["admission_s"] > 0.0
+    histogram = service.metrics_snapshot().histograms[
+        "serve.admission_seconds"]
+    assert histogram.count == 3
+
+
 def test_different_configurations_do_not_coalesce(service_factory):
     release = threading.Event()
 
