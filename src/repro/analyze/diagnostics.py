@@ -92,9 +92,8 @@ class Diagnostic:
         )
 
     def legacy_text(self) -> str:
-        """The pre-diagnostic string shape (``location: message``) that
-        :func:`repro.isdl.semantics.check` returned before this core
-        existed; kept for the ``collect=True`` back-compat shim."""
+        """The ``location: message`` text that
+        :func:`repro.isdl.semantics.check` raises for its first finding."""
         if self.location is not None:
             return f"{self.location}: {self.message}"
         return self.message

@@ -103,9 +103,10 @@ def exploration_report(log: ExplorationLog,
                        metrics: Optional[MetricsSnapshot] = None) -> str:
     """The trajectory of one exploration run.
 
-    Pass the run's *cache* to append its hit/miss accounting; when the
-    run was made with :mod:`repro.obs` enabled, the merged per-stage
-    profile of every candidate measurement is appended as well.  Pass a
+    Pass the run's *cache* to append its hit/miss accounting.  Stage
+    timings of a run made with :mod:`repro.obs` enabled are the tracer's
+    span table, or ``log.merged_profile().stage_table()`` for the
+    candidate measurements alone.  Pass a
     *metrics* snapshot (e.g. ``service.metrics_snapshot()`` from a
     :class:`repro.serve.EvaluationService`) to append the service's
     job accounting — accepted/coalesced/rejected counts and queue
@@ -160,12 +161,6 @@ def exploration_report(log: ExplorationLog,
     if cache is not None:
         lines.append("")
         lines.append(cache.stats.report())
-    profile = log.merged_profile()
-    if profile is not None and profile.stage_names():
-        lines.append("")
-        lines.append(f"stage profile ({log.profile_count} candidate"
-                     f" measurement(s)):")
-        lines.append(profile.stage_table())
     if metrics is not None:
         table = service_metrics_table(metrics)
         if table:

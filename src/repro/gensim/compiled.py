@@ -24,7 +24,7 @@ from .. import obs
 from ..encoding.bits import mask, set_bits
 from ..errors import SimulationError
 from ..isdl import ast, rtl
-from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt, ProcessingCore
+from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
 from .disassembler import DecodedInstruction, Disassembler
 from .hazards import HazardAnalyzer
 from .stats import RunResult, SimulationStats
@@ -77,7 +77,6 @@ class CompiledSimulator:
         self.desc = desc
         self.disassembler = Disassembler(desc, table)
         self.hazards = HazardAnalyzer(desc)
-        self._core = ProcessingCore(desc)  # reused for operand binding
         self.scalars: Dict[str, int] = {}
         self.arrays: Dict[str, List[int]] = {}
         self._widths: Dict[str, int] = {}

@@ -131,19 +131,17 @@ class ExecutionResult:
 class BoundNt:
     """A non-terminal operand bound for one execution.
 
-    Holds the matched option, the sub-environment of its parameters, the
-    value its action computed for ``$$`` (if evaluated), and the transparent
-    write target (if the option is usable as a destination).
+    Holds the matched option, the sub-environment of its parameters, and
+    the value its action computed for ``$$``.
     """
 
-    __slots__ = ("nt", "option", "env", "value", "evaluated")
+    __slots__ = ("nt", "option", "env", "value")
 
     def __init__(self, nt: ast.NonTerminal, option: ast.NtOption, env):
         self.nt = nt
         self.option = option
         self.env = env
-        self.value: Optional[int] = None
-        self.evaluated = False
+        self.value = 0
 
 
 class ProcessingCore:
@@ -169,22 +167,21 @@ class ProcessingCore:
         result = ExecutionResult(cycles=0)
         bound_list = []
         for op, operands in selections:
-            env = self._bind(state, op.params, operands, result)
+            env = self._bind(op.params, operands)
             bound_list.append((op, env))
             result.cycles = max(result.cycles, self._total_cycles(op, env))
         # Action-evaluation phase: every read sees the pre-cycle state
-        # because writes only accumulate in the pending lists.
+        # because writes only accumulate in the pending lists.  Each
+        # operation's bound options run their actions first.
         for op, env in bound_list:
+            self._run_nt_actions(state, env, result.action_writes)
             delay = op.timing.latency - 1
-            self._run_block(
-                state, op.action, env, result.action_writes, delay, result
-            )
+            self._run_block(state, op.action, env, result.action_writes, delay)
         # Side-effect-evaluation phase (still the same cycle).
         for op, env in bound_list:
             delay = op.timing.latency - 1
             self._run_block(
-                state, op.side_effect, env, result.side_effect_writes, delay,
-                result,
+                state, op.side_effect, env, result.side_effect_writes, delay
             )
             for bound in env.values():
                 if isinstance(bound, BoundNt) and bound.option.side_effect:
@@ -195,7 +192,6 @@ class ProcessingCore:
                         bound.env,
                         result.side_effect_writes,
                         nt_delay,
-                        result,
                     )
         if result.cycles <= 0:
             result.cycles = 1
@@ -213,7 +209,7 @@ class ProcessingCore:
     # Operand binding
     # ------------------------------------------------------------------
 
-    def _bind(self, state, params, operands, result) -> Dict[str, object]:
+    def _bind(self, params, operands) -> Dict[str, object]:
         env: Dict[str, object] = {}
         for param in params:
             ptype = self.desc.param_type(param)
@@ -223,34 +219,32 @@ class ProcessingCore:
             else:
                 label, sub_operands = operand
                 option = ptype.option(label)
-                sub_env = self._bind(state, option.params, sub_operands, result)
+                sub_env = self._bind(option.params, sub_operands)
                 env[param.name] = BoundNt(ptype, option, sub_env)
         return env
 
-    def _nt_value(self, state, bound: BoundNt, result) -> int:
-        """Evaluate a non-terminal's action to obtain its ``$$`` value.
+    def _run_nt_actions(self, state, env, sink: List[PendingWrite]) -> None:
+        """Run the action of every option bound in *env*, nested first.
 
-        The action runs at most once per instruction execution, so an NT
-        with a state-changing action (e.g. auto-increment addressing)
-        mutates state exactly once however often its value is referenced.
-        Its writes land in the action-write list.
+        Each action runs exactly once per execution, whether or not the
+        operation reads the operand, so an option with a state-changing
+        action (e.g. pre-increment addressing) mutates state exactly
+        once.  Its ``$$`` becomes the operand's value and its writes
+        land in *sink* ahead of the operation's own.
         """
-        if bound.evaluated:
-            return bound.value or 0
-        bound.evaluated = True
-        delay = bound.option.timing.latency - 1
-        holder: Dict[str, int] = {}
-        self._run_block(
-            state,
-            bound.option.action,
-            bound.env,
-            result.action_writes,
-            delay,
-            result,
-            nt_value=holder,
-        )
-        bound.value = holder.get("$$", 0)
-        return bound.value
+        for bound in env.values():
+            if isinstance(bound, BoundNt):
+                self._run_nt_actions(state, bound.env, sink)
+                holder: Dict[str, int] = {}
+                self._run_block(
+                    state,
+                    bound.option.action,
+                    bound.env,
+                    sink,
+                    bound.option.timing.latency - 1,
+                    nt_value=holder,
+                )
+                bound.value = holder.get("$$", 0)
 
     # ------------------------------------------------------------------
     # Statement execution
@@ -258,27 +252,21 @@ class ProcessingCore:
 
     def _run_block(
         self, state, stmts, env, sink: List[PendingWrite], delay: int,
-        result: ExecutionResult,
         nt_value: Optional[Dict[str, int]] = None,
     ) -> None:
         for stmt in stmts:
             if isinstance(stmt, rtl.Assign):
-                value = self._eval(state, stmt.expr, env, result, nt_value)
-                self._assign(
-                    state, stmt.dest, value, env, sink, delay, nt_value, result
-                )
+                value = self._eval(state, stmt.expr, env, nt_value)
+                self._assign(state, stmt.dest, value, env, sink, delay,
+                             nt_value)
             elif isinstance(stmt, rtl.If):
-                cond = self._eval(state, stmt.cond, env, result, nt_value)
+                cond = self._eval(state, stmt.cond, env, nt_value)
                 branch = stmt.then if cond else stmt.orelse
-                self._run_block(
-                    state, branch, env, sink, delay, result, nt_value
-                )
+                self._run_block(state, branch, env, sink, delay, nt_value)
             else:
                 raise SimulationError(f"unknown RTL statement {stmt!r}")
 
-    def _assign(
-        self, state, dest, value, env, sink, delay, nt_value, result
-    ) -> None:
+    def _assign(self, state, dest, value, env, sink, delay, nt_value) -> None:
         if isinstance(dest, rtl.NtLV):
             if nt_value is None:
                 raise SimulationError("'$$' assigned outside a non-terminal")
@@ -299,7 +287,7 @@ class ProcessingCore:
                 )
             index = None
             if target.index is not None:
-                index = self._eval(state, target.index, bound.env, result, None)
+                index = self._eval(state, target.index, bound.env, None)
             sink.append(
                 PendingWrite(
                     target.storage, index, target.hi, target.lo, value, delay
@@ -309,7 +297,7 @@ class ProcessingCore:
         if isinstance(dest, rtl.StorageLV):
             index = None
             if dest.index is not None:
-                index = self._eval(state, dest.index, env, result, nt_value)
+                index = self._eval(state, dest.index, env, nt_value)
             sink.append(
                 PendingWrite(dest.storage, index, dest.hi, dest.lo, value, delay)
             )
@@ -320,14 +308,12 @@ class ProcessingCore:
     # Expression evaluation
     # ------------------------------------------------------------------
 
-    def _eval(self, state, expr, env, result, nt_value) -> int:
+    def _eval(self, state, expr, env, nt_value) -> int:
         if isinstance(expr, rtl.IntLit):
             return expr.value
         if isinstance(expr, rtl.ParamRef):
             bound = env[expr.name]
-            if isinstance(bound, BoundNt):
-                return self._nt_value(state, bound, result)
-            return bound
+            return bound.value if isinstance(bound, BoundNt) else bound
         if isinstance(expr, rtl.NtValue):
             if nt_value is None or "$$" not in nt_value:
                 raise SimulationError("'$$' read before it was assigned")
@@ -335,15 +321,15 @@ class ProcessingCore:
         if isinstance(expr, rtl.StorageRead):
             index = None
             if expr.index is not None:
-                index = self._eval(state, expr.index, env, result, nt_value)
+                index = self._eval(state, expr.index, env, nt_value)
             return state.read(expr.storage, index, expr.hi, expr.lo)
         if isinstance(expr, rtl.BinOp):
-            left = self._eval(state, expr.left, env, result, nt_value)
+            left = self._eval(state, expr.left, env, nt_value)
             if expr.op == "&&" and not left:
                 return 0
             if expr.op == "||" and left:
                 return 1
-            right = self._eval(state, expr.right, env, result, nt_value)
+            right = self._eval(state, expr.right, env, nt_value)
             try:
                 return _BINOPS[expr.op](left, right)
             except KeyError:
@@ -351,7 +337,7 @@ class ProcessingCore:
                     f"unknown operator {expr.op!r}"
                 ) from None
         if isinstance(expr, rtl.UnOp):
-            operand = self._eval(state, expr.operand, env, result, nt_value)
+            operand = self._eval(state, expr.operand, env, nt_value)
             if expr.op == "~":
                 return ~operand
             if expr.op == "-":
@@ -360,15 +346,15 @@ class ProcessingCore:
                 return int(not operand)
             raise SimulationError(f"unknown unary operator {expr.op!r}")
         if isinstance(expr, rtl.Cond):
-            cond = self._eval(state, expr.cond, env, result, nt_value)
+            cond = self._eval(state, expr.cond, env, nt_value)
             chosen = expr.then if cond else expr.other
-            return self._eval(state, chosen, env, result, nt_value)
+            return self._eval(state, chosen, env, nt_value)
         if isinstance(expr, rtl.Call):
             impl = INTRINSIC_IMPLS.get(expr.func)
             if impl is None:
                 raise SimulationError(f"unknown intrinsic {expr.func!r}")
             args = [
-                self._eval(state, arg, env, result, nt_value)
+                self._eval(state, arg, env, nt_value)
                 for arg in expr.args
             ]
             return impl(*args)

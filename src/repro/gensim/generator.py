@@ -17,7 +17,6 @@ from ..encoding.signature import SignatureTable
 from ..errors import IsdlSemanticError
 from ..isdl import ast, semantics
 from ..isdl.printer import print_description
-from .disassembler import find_ambiguities
 from .xsim import XSim
 
 
@@ -25,17 +24,22 @@ def generate_simulator(desc: ast.Description,
                        strict: bool = True) -> XSim:
     """Generate a cycle-accurate, bit-true ILS for *desc*.
 
-    With *strict* (the default) the description is semantically checked and
-    the assembly function is verified to be decodable (unique signature
-    matches) before the simulator is built — candidate architectures coming
-    out of an exploration transform are validated on every iteration.
+    With *strict* (the default) the description is refused on any finding
+    of the semantic checks or of the decode-ambiguity pass, which verifies
+    that the assembly function is decodable (unique signature matches).
     """
     if strict:
-        semantics.check(desc)
-        problems = find_ambiguities(desc)
-        if problems:
+        # imported here so that importing the package does not load the
+        # analysis passes
+        from ..analyze.passes import analyze, pass_named
+
+        findings = analyze(
+            desc, passes=(pass_named("decode-ambiguity"),)
+        ).diagnostics
+        if findings:
             raise IsdlSemanticError(
-                "description is not decodable:\n  " + "\n  ".join(problems)
+                "description cannot be simulated:\n  "
+                + "\n  ".join(str(d) for d in findings)
             )
     table = SignatureTable(desc)
     return XSim(desc, table)

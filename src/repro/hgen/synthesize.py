@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..encoding.signature import SignatureTable
-from ..isdl import ast, semantics
+from ..isdl import ast
 from ..isdl.fingerprint import FingerprintDelta
 from ..tech.model import TechModel
 from .area import AreaReport, estimate_area
@@ -138,11 +138,14 @@ def synthesize(
     share: bool = True,
     use_constraints: bool = True,
     table: Optional[SignatureTable] = None,
-    validate: bool = True,
     reuse_from: Optional[Tuple[HardwareModel, FingerprintDelta]] = None,
     tech: Optional[TechModel] = None,
 ) -> HardwareModel:
     """Run HGEN on a description.
+
+    HGEN trusts *desc* to be valid, as every tool stage does: a
+    description is checked where it enters (loading, and the
+    :mod:`repro.analyze` gate for exploration candidates).
 
     *share* toggles the resource-sharing pass (the naive scheme of paper
     §4.1.1 when off); *use_constraints* controls whether constraints may
@@ -164,8 +167,6 @@ def synthesize(
     globally numbered).
     """
     with obs.span("hgen.synthesize", desc=desc.name, share=share):
-        if validate:
-            semantics.check(desc)
         start = time.perf_counter()
         table = table or SignatureTable(desc)
         parent, delta = reuse_from if reuse_from is not None else (None, None)

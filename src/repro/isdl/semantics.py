@@ -1,11 +1,11 @@
 """Semantic analysis for ISDL descriptions.
 
-:func:`check` validates a parsed :class:`~repro.isdl.ast.Description` and
-raises :class:`~repro.errors.IsdlSemanticError` on the first problem.
-:func:`diagnose` runs the same checks but returns structured
-:class:`~repro.analyze.diagnostics.Diagnostic` objects (stable codes,
-severities, source spans) — the shape the :mod:`repro.analyze` engine and
-``repro-lint`` build on.
+:func:`diagnose` validates a parsed :class:`~repro.isdl.ast.Description`
+and returns every problem as a structured
+:class:`~repro.analyze.diagnostics.Diagnostic` (stable codes, severities,
+source spans) — the shape the :mod:`repro.analyze` engine and
+``repro-lint`` build on.  :func:`check` is the same analysis raising
+:class:`~repro.errors.IsdlSemanticError` on the first finding.
 
 The most important check is the paper's **Axiom 1** (section 3.3.2): every
 bit of an operation signature is a function of at most one parameter.  Our
@@ -31,37 +31,37 @@ CODE_AXIOM1 = "ISDL011"
 CODE_NOT_REVERSIBLE = "ISDL012"
 CODE_CROSS_FIELD_BITS = "ISDL013"
 #: Constraint references to unknown operations live in the constraint
-#: range and are only a warning under :func:`diagnose` — an exploration
-#: transform that drops an operation may leave a dangling reference that
-#: can never forbid anything, which is untidy rather than fatal.
+#: range and are only a warning — an exploration transform that drops an
+#: operation may leave a dangling reference that can never forbid
+#: anything, which is untidy rather than fatal.
 CODE_CONSTRAINT_UNKNOWN_REF = "ISDL201"
 
 
-def check(desc: ast.Description, collect: bool = False) -> List[str]:
-    """Validate *desc*; raise on the first problem unless *collect*.
+def check(desc: ast.Description) -> None:
+    """Validate *desc*; raise :class:`IsdlSemanticError` on its first finding.
 
-    .. deprecated::
-        ``collect=True`` returning bare strings is a back-compat shim for
-        pre-``repro.analyze`` callers; new code should call
-        :func:`diagnose`, which returns structured ``Diagnostic`` objects
-        with stable codes, severities and source spans.
+    This is the check a description gets where it enters the system
+    (:func:`~repro.isdl.load_string`, transform preconditions), so every
+    finding is fatal here, warnings included.  The exploration gate
+    instead runs :func:`diagnose` through :mod:`repro.analyze`, where only
+    errors reject a candidate.
     """
     with obs.span("isdl.check", desc=desc.name):
-        checker = _Checker(desc, collect)
-        checker.run()
-        return [d.legacy_text() for d in checker.diagnostics]
+        diagnostics = diagnose(desc)
+    if diagnostics:
+        raise IsdlSemanticError(diagnostics[0].legacy_text())
 
 
 def diagnose(desc: ast.Description) -> List[Diagnostic]:
     """Run all semantic checks, returning every problem as a Diagnostic.
 
-    Unlike :func:`check` this never raises on description problems: it is
-    the well-formedness stage of the :mod:`repro.analyze` pass pipeline,
-    where an unknown constraint reference is a warning
-    (:data:`CODE_CONSTRAINT_UNKNOWN_REF`) and everything else an error.
+    This never raises on description problems: it is the well-formedness
+    stage of the :mod:`repro.analyze` pass pipeline, where an unknown
+    constraint reference is a warning (:data:`CODE_CONSTRAINT_UNKNOWN_REF`)
+    and everything else an error.
     """
     with obs.span("isdl.diagnose", desc=desc.name):
-        checker = _Checker(desc, collect=True)
+        checker = _Checker(desc)
         checker.run()
         return checker.diagnostics
 
@@ -86,23 +86,16 @@ def location_width(desc: ast.Description, name: str,
 
 
 class _Checker:
-    def __init__(self, desc: ast.Description, collect: bool):
+    def __init__(self, desc: ast.Description):
         self.desc = desc
-        self.collect = collect
         self.diagnostics: List[Diagnostic] = []
 
     def fail(self, message: str, location=None, *,
              code: str = CODE_SEMANTIC,
              severity: Severity = Severity.ERROR,
              where: str = "") -> None:
-        diagnostic = Diagnostic(code, severity, message, where=where,
-                                location=location)
-        if self.collect:
-            self.diagnostics.append(diagnostic)
-        else:
-            # Raise-mode keeps the historical fail-fast contract: any
-            # problem — warning-severity included — aborts the load.
-            raise IsdlSemanticError(diagnostic.legacy_text())
+        self.diagnostics.append(Diagnostic(code, severity, message,
+                                           where=where, location=location))
 
     # ------------------------------------------------------------------
 
@@ -514,6 +507,8 @@ class _Checker:
                     f"{where}: alias {name!r} accessed with an index",
                     location,
                 )
+            if alias.storage not in self.desc.storages:
+                return  # the dangling alias itself is already reported
             width = alias_width(self.desc, alias)
         if hi is not None:
             effective_lo = lo if lo is not None else hi

@@ -6,9 +6,9 @@ produce:
 
 * ``obs_trace.json`` — Chrome trace-event JSON, loadable in
   ``about:tracing`` / Perfetto, validated before it is written;
-* ``obs_profile.txt`` — the fixed-width per-stage text profile plus the
-  metrics-registry report and the exploration report (cache statistics
-  and the merged per-candidate stage table);
+* ``obs_profile.txt`` — the tracer's fixed-width span table (the one
+  timing table), the registry's counters and gauges, and the exploration
+  report with its cache statistics;
 * ``BENCH_obs_sweep.json`` — a machine-readable summary (configuration,
   wall time, counters, per-stage aggregates) in the same shape the
   benchmark suite emits.

@@ -256,10 +256,12 @@ class MetricsSnapshot:
         return "\n".join(lines)
 
     def report(self) -> str:
-        """A human-readable dump of every metric."""
+        """A human-readable dump of the counters and gauges.
+
+        Stage timings are left to :meth:`stage_table` (or the tracer's
+        span table), so a profile that prints both shows them once.
+        """
         lines = []
-        if self.stage_names():
-            lines.append(self.stage_table())
         plain = {
             name: value for name, value in self.counters.items()
             if not name.startswith(STAGE_PREFIX)

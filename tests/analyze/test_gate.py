@@ -1,7 +1,7 @@
 """Tests for the exploration validity gate (check_static in the loop)."""
 
 from repro import obs
-from repro.arch import description_for
+from repro.arch import description_for, spam2
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
 from repro.explore import EvalRequest, Explorer, ParallelEvaluator
@@ -155,3 +155,26 @@ def test_report_counts_statically_rejected():
     explorer._proposals = sabotage.__get__(explorer)
     log = explorer.explore(description_for("risc16"), max_iterations=1)
     assert "1 statically rejected" in exploration_report(log)
+
+
+#: SPAM2 plus a constraint naming an operation SPAM2 does not have: an
+#: ISDL201 warning, which the gate lets through by design
+FORBID_UNKNOWN_ISDL = spam2.ISDL_SOURCE.replace(
+    "    forbid MEM.st & MV.mov\n",
+    "    forbid MEM.st & MV.mov\n    forbid MEM.st & MV.gone\n",
+)
+
+
+def test_gate_verdict_is_final_for_a_warning_only_candidate():
+    candidate = load_string(FORBID_UNKNOWN_ISDL, validate=False)
+    with ParallelEvaluator([sum_kernel()], mode="serial") as ev:
+        base, result = ev.evaluate_many(
+            [EvalRequest(description_for("spam2")), EvalRequest(candidate)]
+        )
+    # no stage after the gate re-checks the candidate: the constraint can
+    # never forbid anything, so it measures exactly like SPAM2
+    assert result.ok, result.error
+    assert result.evaluation.feasible
+    for metric in ("cycles", "die_size", "cycle_ns", "power_mw"):
+        assert getattr(result.evaluation, metric) == \
+            getattr(base.evaluation, metric), metric

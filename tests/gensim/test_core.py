@@ -156,7 +156,7 @@ def test_division_by_zero_raises(swap_desc):
             state,
             (rtl.Assign(rtl.StorageLV("ACC"),
                         rtl.BinOp("/", rtl.IntLit(1), rtl.IntLit(0))),),
-            {}, [], 0, type("R", (), {"action_writes": []})(),
+            {}, [], 0,
         )
 
 

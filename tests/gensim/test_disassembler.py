@@ -9,11 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analyze import analyze, pass_named
 from repro.arch import ARCHITECTURES
 from repro.encoding.signature import SignatureTable
 from repro.errors import DisassemblyError
-from repro.gensim.disassembler import Disassembler, find_ambiguities
+from repro.gensim.disassembler import Disassembler
 from repro.isdl import ast
+
+
+def ambiguities(desc):
+    """The decode-ambiguity findings for *desc* (ISDL101/102)."""
+    return analyze(desc, passes=(pass_named("decode-ambiguity"),)).diagnostics
 
 
 def operand_strategy(desc, param):
@@ -47,7 +53,7 @@ def operation_strategy(desc):
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
 def test_descriptions_are_decodable(arch):
     desc = ARCHITECTURES[arch]()
-    assert find_ambiguities(desc) == []
+    assert ambiguities(desc) == ()
 
 
 @pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
@@ -140,8 +146,8 @@ section instruction_set
     end
 end
 ''')
-    problems = find_ambiguities(desc)
-    assert problems  # word 0b11xxxxxx matches both
+    problems = ambiguities(desc)
+    assert [d.code for d in problems] == ["ISDL101"]  # 0b11xxxxxx
 
 
 AMBIGUOUS_ISDL = '''

@@ -82,3 +82,54 @@ def test_compare_state_detects_difference(risc16_desc, models):
     ils.write("RF", 1, 0)
     mismatches = compare_state(risc16_desc, ils, hw)
     assert any("RF[0]" in m for m in mismatches)
+
+
+def _acc8_with_preinc():
+    """ACC8 plus a pre-increment option and two operations that take it:
+    ``touch`` never reads its operand, ``clobber`` writes the index
+    register the option's action also writes."""
+    from repro.arch import acc8
+    from repro.isdl import load_string
+
+    source = acc8.ISDL_SOURCE.replace(
+        "            cost cycle 1\n    end",
+        "            cost cycle 1\n"
+        "        option preinc()\n"
+        '            syntax "+(X)"\n'
+        "            encoding { bits[9:8] = 0b11 }\n"
+        "            action { X <- X + 1; $$ <- DM[X + 1]; }\n"
+        "    end",
+    ).replace(
+        "        operation halt()",
+        "        operation touch(m: MEMOP)\n"
+        "            encoding { bits[15:12] = 0b1101; bits[9:0] = m }\n"
+        "            action { ACC <- 5; }\n\n"
+        "        operation clobber(m: MEMOP)\n"
+        "            encoding { bits[15:12] = 0b1110; bits[9:0] = m }\n"
+        "            action { X <- 9; ACC <- m; }\n\n"
+        "        operation halt()",
+    )
+    return load_string(source, filename="acc8-preinc.isdl")
+
+
+@pytest.mark.parametrize("op,x_acc", [("touch", (4, 5)), ("clobber", (9, 0))])
+def test_option_action_runs_once_before_the_operation(op, x_acc):
+    # an option's action runs once per execution, before the operation's
+    # own action, whether or not the operation reads the operand — on the
+    # reference interpreter exactly as on the engines and the hardware
+    from repro.gensim import XSim
+    from repro.gensim.protocol import simulator_for
+
+    desc = _acc8_with_preinc()
+    program = Assembler(desc).assemble(f"ldx #3\n{op} +(X)\nhalt\n")
+    finals = {}
+    for backend in ("xsim", "interpretive", "compiled", "block"):
+        sim = simulator_for(desc, backend)
+        sim.load_words(program.words, program.origin)
+        sim.run_to_completion(100)
+        finals[backend] = (sim.read("X"), sim.read("ACC"))
+    assert set(finals.values()) == {x_acc}, finals
+    result = cosimulate(desc, synthesize(desc).netlist, program.words,
+                        program.origin,
+                        xsim=XSim(desc, core="interpretive"))
+    assert result.ok, result.mismatches

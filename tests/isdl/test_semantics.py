@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import IsdlSemanticError
 from repro.isdl import check, parse
+from repro.isdl.semantics import diagnose
 
 BASE = '''
 processor "T"
@@ -61,7 +62,7 @@ section instruction_set
     end
 end
 ''')
-    problems = check(desc, collect=True)
+    problems = [d.message for d in diagnose(desc)]
     assert len(problems) >= 2  # unencoded parameter + invalid size cost
     assert any("never encoded" in p for p in problems)
     assert any("invalid costs" in p for p in problems)
@@ -335,11 +336,9 @@ def test_diagnose_clean_description_is_empty():
     assert semantics.diagnose(parse(BASE + GOOD_FIELD)) == []
 
 
-def test_collect_shim_matches_diagnose_legacy_text():
-    # the deprecated collect=True shape is exactly the structured
-    # diagnostics run through legacy_text()
-    from repro.isdl import semantics
-
+def test_check_raises_the_first_diagnose_finding():
+    # check() is diagnose() plus "raise the first finding", with the
+    # finding's location-prefixed text as the message
     desc = parse(BASE + '''
 section instruction_set
     field EX
@@ -350,10 +349,34 @@ section instruction_set
     end
 end
 ''')
-    legacy = check(desc, collect=True)
-    structured = semantics.diagnose(desc)
-    assert legacy == [d.legacy_text() for d in structured]
-    assert all(isinstance(p, str) for p in legacy)
+    findings = diagnose(desc)
+    assert len(findings) >= 2
+    with pytest.raises(IsdlSemanticError) as excinfo:
+        check(desc)
+    assert str(excinfo.value) == findings[0].legacy_text()
+
+
+def test_check_is_fatal_on_a_warning_only_finding():
+    desc = parse(BASE + GOOD_FIELD + '''
+section constraints
+    forbid EX.ghost
+end
+''')
+    assert [d.severity.label for d in diagnose(desc)] == ["warning"]
+    with pytest.raises(IsdlSemanticError, match="unknown operation EX.ghost"):
+        check(desc)
+
+
+def test_dangling_alias_read_is_a_finding_not_a_crash():
+    # an alias of an unknown storage is reported once; reading it in an
+    # action must not raise KeyError while the checker keeps collecting
+    text = BASE.replace("alias LO = ACC[3:0]", "alias LO = NOPE[3:0]")
+    desc = parse(text + GOOD_FIELD.replace(
+        "RF[d] <- RF[d] + v;", "RF[d] <- LO + v;"))
+    messages = [d.message for d in diagnose(desc)]
+    assert messages == ["alias 'LO' targets unknown storage 'NOPE'"]
+    with pytest.raises(IsdlSemanticError, match="unknown storage 'NOPE'"):
+        check(desc)
 
 
 def test_unknown_constraint_ref_is_warning_severity():

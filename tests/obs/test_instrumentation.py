@@ -111,6 +111,16 @@ def test_synthesis_emits_stage_spans(spam2_desc):
     assert obs.registry().snapshot().counters["hgen.syntheses"] == 1
 
 
+def test_synthesis_does_not_recheck_its_input(spam2_desc):
+    # a description is validated where it enters (load, the gate); HGEN
+    # trusts the one it is handed
+    obs.enable()
+    synthesize(spam2_desc)
+    stages = obs.tracer().stage_names()
+    assert "isdl.check" not in stages
+    assert "isdl.diagnose" not in stages
+
+
 def test_exploration_covers_six_plus_stages_and_valid_trace(tmp_path):
     obs.enable()
     explorer = Explorer([_kernel()], cache=ArtifactCache(),
@@ -288,6 +298,24 @@ def test_cli_writes_all_artifacts(tmp_path):
     assert "sim.run" in profile and "cache:" in profile
     # the CLI cleaned up after itself
     assert not obs.enabled()
+
+
+def test_cli_profile_prints_each_table_once(tmp_path):
+    from repro.obs.cli import main
+
+    assert main(["--arch", "spam2", "--iterations", "1",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "obs_profile.txt").read_text().splitlines()
+    timing_headers = [line for line in lines
+                      if line.split()[:2] in (["span", "calls"],
+                                              ["stage", "calls"])]
+    assert len(timing_headers) == 1
+    assert not [line for line in lines if line.startswith("stage profile")]
+    assert sum(line == "counters:" for line in lines) == 1
+    assert sum(line.startswith("cache: ") for line in lines) == 1
+    # every span has exactly one timing row
+    assert sum(line.split()[:1] == ["sim.run"] for line in lines) == 1
+    assert sum(line.split()[:1] == ["hgen.synthesize"] for line in lines) == 1
 
 
 def test_cli_rejects_unknown_arch(tmp_path, capsys):

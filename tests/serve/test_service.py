@@ -439,6 +439,27 @@ def test_jobs_listing_preserves_submission_order(service_factory):
 # ----------------------------------------------------------------------
 
 
+def test_admitted_warning_only_description_succeeds():
+    from repro.arch import spam2
+
+    source = spam2.ISDL_SOURCE.replace(
+        "    forbid MEM.st & MV.mov\n",
+        "    forbid MEM.st & MV.mov\n    forbid MEM.st & MV.gone\n",
+    )
+    config = ServiceConfig(workers=1, static_check=True)
+    with EvaluationService(config) as service:
+        # the gate admits it (ISDL201 is a warning) and its verdict is
+        # final: the tool chain measures the job instead of failing it
+        job = service.submit({"isdl": source, "workloads": ["sum:8"]})
+        assert job.state is not JobState.REJECTED
+        done = service.wait(job.id, timeout=120.0)
+        assert done.state is JobState.SUCCEEDED, done.error
+        base = service.submit(payload(workloads=["sum:8"]))
+        want = service.wait(base.id, timeout=120.0).evaluation
+    for metric in ("cycles", "die_size", "cycle_ns", "power_mw"):
+        assert getattr(done.evaluation, metric) == getattr(want, metric)
+
+
 def test_real_evaluation_and_cache_dedupe_across_time():
     config = ServiceConfig(workers=1, static_check=False)
     with EvaluationService(config) as service:
