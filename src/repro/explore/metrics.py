@@ -18,7 +18,7 @@ tool-chain run.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields as dc_fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from .. import obs
@@ -169,12 +169,10 @@ def evaluate(
     (keyword-only) memoizes generated artifacts and whole evaluations by
     structural fingerprint instead of rebuilding them internally.
     *sim_backend* selects the executor (see
-    :func:`repro.gensim.simulator_for`): ``"xsim"`` keeps the full
-    utilization statistics that the improvement heuristics read;
-    ``"block"`` trades them for raw cycle-count speed — right for sweeps
-    scored on runtime/area/power alone.  Backends are cycle-identical, but
-    the key still separates them so cached evaluations carry the stats
-    their backend actually produced.
+    :func:`repro.gensim.simulator_for`).  Every backend derives its
+    statistics from per-address execution counts, so all of them return
+    the same :class:`Evaluation` — cycles, utilization, power and cost —
+    and differ only in speed; the cache key still names the backend.
 
     *memoize* (keyword-only) controls only the whole-evaluation memo:
     with ``memoize=False`` the pipeline still shares artifact-level
@@ -219,20 +217,6 @@ def evaluate(
     if evaluation.name != label or evaluation.weights != weights:
         evaluation = replace(evaluation, name=label, weights=weights)
     return evaluation
-
-
-def _copy_stats(stats: SimulationStats) -> SimulationStats:
-    """A merge-safe copy: fresh counters/dicts, scalar fields shared.
-
-    Simulation results now live in the artifact cache (the ``"sim"``
-    kind), so the stats merge below must never mutate the instance it was
-    handed — the next evaluation of the same candidate reads it again.
-    """
-    values = {}
-    for fld in dc_fields(stats):
-        value = getattr(stats, fld.name)
-        values[fld.name] = value.copy() if hasattr(value, "copy") else value
-    return type(stats)(**values)
 
 
 def _evaluate_uncached(
@@ -297,9 +281,7 @@ def _evaluate_uncached(
     if cache is not None and parent is not None:
         delta = fingerprint_delta(parent, desc)
         parent_fp = cache.description_fingerprint(parent)
-    total_cycles = 0
-    total_stalls = 0
-    merged_stats: Optional[SimulationStats] = None
+    runs: List[SimulationStats] = []
     per_kernel: Dict[str, int] = {}
     for kernel_name, program, kfp in programs:
 
@@ -358,15 +340,8 @@ def _evaluate_uncached(
                 weights=weights, fingerprint=fp, **tech_fields,
             )
         per_kernel[kernel_name] = stats.cycles
-        total_cycles += stats.cycles
-        total_stalls += stats.stall_cycles
-        if merged_stats is None:
-            merged_stats = _copy_stats(stats)
-        else:
-            merged_stats.cycles += 0  # totals tracked separately
-            merged_stats.op_counts.update(stats.op_counts)
-            merged_stats.field_busy.update(stats.field_busy)
-            merged_stats.instructions += stats.instructions
+        runs.append(stats)
+    merged_stats = SimulationStats.merge(runs)
     # 3. Synthesize the hardware model (projected, not re-run, when a
     #    technology is set — the synth cache stays technology-free).
     if cache is None:
@@ -392,8 +367,8 @@ def _evaluate_uncached(
     return Evaluation(
         name=label,
         feasible=True,
-        cycles=total_cycles,
-        stall_cycles=total_stalls,
+        cycles=merged_stats.cycles,
+        stall_cycles=merged_stats.stall_cycles,
         cycle_ns=cycle_ns,
         die_size=model.die_size,
         core_die_size=model.core_die_size,

@@ -26,9 +26,10 @@ Blocks that cannot be proven safe — self-modifying code, statically
 unresolvable destinations, RTL the emitter does not cover — fall back to
 the inherited per-instruction path, as do dispatches with in-flight
 cross-block writes, monitored storages, or a nearly exhausted step
-budget.  Cycle counts and final state match XSim bit for bit;
-``tests/gensim/test_blocksim.py`` asserts it differentially and
-property-tests it across the sample machines.
+budget.  A dispatch counts one execution of its entry offset and a deopt
+step one of its own address, so cycle counts, statistics and final state
+match XSim bit for bit; ``tests/gensim/test_blocksim.py`` asserts it
+differentially and property-tests it across the sample machines.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .compiled import CompiledSimulator, _make_commit
 from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
 from .monitors import MonitorSet
 from .render import render_instruction
+from .state import out_of_range
 from .stats import RunResult
 
 __all__ = ["BlockSimulator", "BlockStats", "BlockTable", "CompiledBlock"]
@@ -64,6 +66,7 @@ _EXEC_GLOBALS = {
     "_div": _BINOPS["/"],
     "_mod": _BINOPS["%"],
     "_set_bits": set_bits,
+    "_oob": out_of_range,
 }
 _EXEC_GLOBALS.update(
     {f"_in_{name}": fn for name, fn in INTRINSIC_IMPLS.items()}
@@ -98,6 +101,8 @@ class CompiledBlock:
     start: int
     n: int
     fn: Optional[object]
+    #: offsets one dispatch executes, in order (fused chains included)
+    offsets: Tuple[int, ...] = ()
     #: slot-indexed commit closures for the latency residue
     residue: Tuple = ()
     #: base storages the block touches (monitor-deopt test)
@@ -287,6 +292,7 @@ class _BlockCompiler:
             start=offsets[0],
             n=len(offsets),
             fn=namespace["_block"],
+            offsets=tuple(offsets),
             residue=tuple(self._residue_fns),
             storages=frozenset(storages),
             source=source,
@@ -347,13 +353,26 @@ class _BlockCompiler:
     def _state_commit(self, w: _Write) -> str:
         if w.is_array:
             target = f"a_{w.name}[{w.index}]"
+            checked = f"a_{w.name}[{self._checked(w.name, w.index)}]"
         else:
             self.scalar_names.add(w.name)
             self.scalar_writes.add(w.name)
-            target = f"s_{w.name}"
+            target = checked = f"s_{w.name}"
         if w.hi is None:
-            return f"{target} = {w.value} & {mask(self.sim._widths[w.name])}"
-        return f"{target} = _set_bits({target}, {w.hi}, {w.lo}, {w.value})"
+            return f"{checked} = {w.value} & {mask(self.sim._widths[w.name])}"
+        return f"{target} = _set_bits({checked}, {w.hi}, {w.lo}, {w.value})"
+
+    def _checked(self, name: str, index: str) -> str:
+        """*index* as a subscript raising State's out-of-range error."""
+        depth = len(self.sim.arrays[name])
+        if index.isdigit() and int(index) < depth:
+            return index
+        bound = index
+        if not index.isidentifier():
+            index = self._temp()
+            bound = f"({index} := {bound})"
+        return (f"({index} if 0 <= {bound} < {depth}"
+                f" else _oob({name!r}, {index}, {depth}))")
 
     def _guarded(self, guards: Tuple[str, ...], text: str) -> None:
         if guards:
@@ -595,7 +614,7 @@ class _BlockCompiler:
                 index = self._emit_expr(expr.index, env, nt_value)
             else:
                 index = repr(fixed_index)
-            base = f"a_{name}[{index}]"
+            base = f"a_{name}[{self._checked(name, index)}]"
         elif name == self.pc:
             # During execution the PC holds the current instruction's
             # address — a compile-time constant here.
@@ -636,8 +655,9 @@ class BlockSimulator(CompiledSimulator):
         self.block_stats = BlockStats()
         self._cfg = ControlFlowAnalyzer(desc)
         self._flows: List = []
-        self._decoded: List = []
         self._blocks = BlockTable(0)
+        #: block-function dispatches per entry offset
+        self._dispatches: List[int] = []
         # Incremental block adoption: when *parent* is a near-identical
         # description whose block table for the same program is cached,
         # blocks whose span decodes only to delta-unchanged operations
@@ -661,9 +681,7 @@ class BlockSimulator(CompiledSimulator):
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> None:
         super().load_words(words, origin)
-        self._decoded = [
-            self.disassembler.disassemble(word) for word in words
-        ]
+        self._dispatches = [0] * len(words)
         self._flows = self._cfg.flows_for_program(self._decoded)
         self._loaded = (tuple(words), origin)
         self._deopt_free = False
@@ -693,6 +711,19 @@ class BlockSimulator(CompiledSimulator):
                 # the per-op part per block at adoption time.
                 if delta.sim_env_unchanged:
                     self._adopt = (parent_table, delta)
+
+    def reset(self) -> None:
+        super().reset()
+        self._dispatches = [0] * len(self._dispatches)
+
+    def _address_counts(self) -> List[int]:
+        counts = list(self._counts)
+        blocks = self._blocks.blocks
+        for entry, n in enumerate(self._dispatches):
+            if n:
+                for offset in blocks[entry].offsets:
+                    counts[offset] += n
+        return counts
 
     def _derive_proofs(self, words: Sequence[int], origin: int) -> None:
         """Derive and checker-validate the load-time certificates.
@@ -839,7 +870,7 @@ class BlockSimulator(CompiledSimulator):
             shadow = (
                 dict(self.scalars),
                 {name: list(arr) for name, arr in self.arrays.items()},
-                self.cycle, self.stall_cycles, self.instructions,
+                self.cycle, self.stall_cycles, self._address_counts(),
             )
         # With a checker-validated DeoptFreedom certificate (and no
         # monitors, which need the watched-storage deopt) the driver
@@ -874,9 +905,9 @@ class BlockSimulator(CompiledSimulator):
         The reference simulator shares nothing with this one (no cache,
         no proofs, no adopted blocks), starts from the snapshot taken
         before the certified run, and must land on the same final
-        scalars, arrays, cycles, stalls and instruction count.
+        scalars, arrays, cycles, stalls and statistics.
         """
-        scalars, arrays, cycle, stalls, instructions = shadow
+        scalars, arrays, cycle, stalls, counts = shadow
         words, origin = self._loaded
         ref = BlockSimulator(self.desc)
         ref.load_words(words, origin)
@@ -885,7 +916,7 @@ class BlockSimulator(CompiledSimulator):
             ref.arrays[name][:] = values
         ref.cycle = cycle
         ref.stall_cycles = stalls
-        ref.instructions = instructions
+        ref._counts[:] = counts
         ref_result = ref.run(max_steps)
         if ref_result != result:
             raise AssertionError(
@@ -915,6 +946,7 @@ class BlockSimulator(CompiledSimulator):
         pc_mask = mask(self._widths[pc_name])
         blocks = self._blocks.blocks
         bstats = self.block_stats
+        counts, dispatches = self._counts, self._dispatches
         watched = self._watched_storages()
         snapshot = self._monitor_seed(watched) if watched else None
         steps = 0
@@ -960,7 +992,11 @@ class BlockSimulator(CompiledSimulator):
             cyc_off, stall_off, count = block.fn(scalars, arrays, res)
             self.cycle = entry + cyc_off
             self.stall_cycles += stall_off
-            self.instructions += count
+            dispatches[offset] += 1
+            if count != block.n:
+                # a halt left the block early: uncount what it skipped
+                for skipped in block.offsets[count:]:
+                    counts[skipped] -= 1
             steps += count
             if block.segments:
                 bstats.chain_dispatches += 1
@@ -979,12 +1015,7 @@ class BlockSimulator(CompiledSimulator):
             commit(scalars, arrays, index, value)
         if snapshot is not None:
             self._monitor_sync(snapshot)
-        return RunResult(
-            cycles=self.cycle,
-            stall_cycles=self.stall_cycles,
-            instructions=self.instructions,
-            halt_reason="halted",
-        )
+        return RunResult.from_stats(self.stats, "halted")
 
     def _run_loop_certified(self, max_steps: int) -> RunResult:
         """The guard-free driver, enabled by a valid DeoptFreedom proof.
@@ -1005,6 +1036,7 @@ class BlockSimulator(CompiledSimulator):
         pc_mask = mask(self._widths[pc_name])
         blocks = self._blocks.blocks
         bstats = self.block_stats
+        counts, dispatches = self._counts, self._dispatches
         steps = 0
         res: List = []
         n_words = len(self._program)
@@ -1041,7 +1073,11 @@ class BlockSimulator(CompiledSimulator):
             cyc_off, stall_off, count = block.fn(scalars, arrays, res)
             self.cycle = entry + cyc_off
             self.stall_cycles += stall_off
-            self.instructions += count
+            dispatches[offset] += 1
+            if count != block.n:
+                # a halt left the block early: uncount what it skipped
+                for skipped in block.offsets[count:]:
+                    counts[skipped] -= 1
             steps += count
             if block.segments:
                 bstats.chain_dispatches += 1
@@ -1061,12 +1097,7 @@ class BlockSimulator(CompiledSimulator):
         while pending:
             _, _, _, commit, index, value = heapq.heappop(pending)
             commit(scalars, arrays, index, value)
-        return RunResult(
-            cycles=self.cycle,
-            stall_cycles=self.stall_cycles,
-            instructions=self.instructions,
-            halt_reason="halted",
-        )
+        return RunResult.from_stats(self.stats, "halted")
 
     def _interp_step(self, offset: int, address: int,
                      pc_mask: int) -> None:
@@ -1091,7 +1122,7 @@ class BlockSimulator(CompiledSimulator):
                 (retire + delay, self._seq, phase, commit, index, value),
             )
         self.cycle = retire
-        self.instructions += 1
+        self._counts[offset] += 1
         scalars[self._pc] = (address + size) & pc_mask
 
     # ------------------------------------------------------------------

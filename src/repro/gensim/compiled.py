@@ -8,11 +8,14 @@ become direct list/dict operations, and the two-phase semantics are
 preserved by having the closures compute into a write list that the driver
 commits.  Like real compiled-code simulators, the executable is specific to
 one program (reload to change it) and trades the monitor hooks for speed —
-state monitors and per-access statistics are not serviced in this mode.
+state monitors are not serviced in this mode.
 
 Cycle accounting (costs, static stalls, latency delays) is identical to the
-interpretive scheduler, so cycle counts and final state match XSIM exactly;
-``tests/gensim/test_compiled.py`` asserts it.
+interpretive scheduler, and the driver counts executions per address as
+XSIM's does, so cycle counts, utilization statistics and final state match
+XSIM exactly; ``tests/gensim/test_compiled.py`` asserts it.  Addressed
+storages are bounds-checked on read and on commit with :class:`State`'s
+error.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from ..isdl import ast, rtl
 from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
 from .disassembler import DecodedInstruction, Disassembler
 from .hazards import HazardAnalyzer
+from .state import check_fits, out_of_range
 from .stats import RunResult, SimulationStats
 
 #: an expression closure: (scalars, arrays) -> int
@@ -49,7 +53,10 @@ def _make_commit(name: str, width: int, hi, lo, is_array: bool):
         if is_array:
             def commit_fn(scalars, arrays, index, value,
                           _n=name, _m=mask(width)):  # noqa: B008
-                arrays[_n][index] = value & _m
+                array = arrays[_n]
+                if not 0 <= index < len(array):
+                    out_of_range(_n, index, len(array))
+                array[index] = value & _m
         else:
             def commit_fn(scalars, arrays, index, value,
                           _n=name, _m=mask(width)):  # noqa: B008
@@ -60,9 +67,10 @@ def _make_commit(name: str, width: int, hi, lo, is_array: bool):
         if is_array:
             def commit_fn(scalars, arrays, index, value,
                           _n=name, _hi=hi, _lo=effective_lo):
-                arrays[_n][index] = set_bits(
-                    arrays[_n][index], _hi, _lo, value
-                )
+                array = arrays[_n]
+                if not 0 <= index < len(array):
+                    out_of_range(_n, index, len(array))
+                array[index] = set_bits(array[index], _hi, _lo, value)
         else:
             def commit_fn(scalars, arrays, index, value,
                           _n=name, _hi=hi, _lo=effective_lo):
@@ -89,10 +97,12 @@ class CompiledSimulator:
         self._pc = desc.program_counter().name
         self._halt = desc.attributes.get("halt_flag")
         self._program: List[Optional[Tuple[StmtFn, int, int]]] = []
+        self._decoded: List[DecodedInstruction] = []
         self._stalls: List[int] = []
         self._origin = 0
+        #: executions per program address (index = address - origin)
+        self._counts: List[int] = []
         self.cycle = 0
-        self.instructions = 0
         self.stall_cycles = 0
         self._pending: List = []
         self._seq = 0
@@ -120,12 +130,18 @@ class CompiledSimulator:
 
     @property
     def stats(self) -> SimulationStats:
-        """Counters accumulated so far (the protocol's ``stats``)."""
-        return SimulationStats(
-            cycles=self.cycle,
-            stall_cycles=self.stall_cycles,
-            instructions=self.instructions,
+        """Statistics so far, derived from the per-address counts."""
+        return SimulationStats.from_counts(
+            self.desc, self._decoded, self._address_counts(),
+            cycles=self.cycle, stall_cycles=self.stall_cycles,
         )
+
+    @property
+    def instructions(self) -> int:
+        return sum(self._address_counts())
+
+    def _address_counts(self) -> List[int]:
+        return self._counts
 
     def reset(self) -> None:
         """Reset cycle counts, pending writes and the PC; state persists.
@@ -134,8 +150,8 @@ class CompiledSimulator:
         a reset means (the halt flag, like all state, is *not* cleared).
         """
         self.cycle = 0
-        self.instructions = 0
         self.stall_cycles = 0
+        self._counts = [0] * len(self._counts)
         self._pending = []
         self._seq = 0
         self.scalars[self._pc] = self._origin
@@ -145,10 +161,13 @@ class CompiledSimulator:
     # ------------------------------------------------------------------
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> None:
+        check_fits(self.desc, origin, len(words))
         decoded = [self.disassembler.disassemble(word) for word in words]
+        self._decoded = decoded
         self._stalls = self.hazards.stalls_for_program(decoded)
         self._program = [self._compile_instruction(d) for d in decoded]
         self._origin = origin
+        self._counts = [0] * len(words)
         im = self.desc.instruction_memory()
         for offset, word in enumerate(words):
             self.write(im.name, word, origin + offset)
@@ -406,27 +425,33 @@ class CompiledSimulator:
         name, fixed_index, hi, lo = self._resolve_location(
             expr.storage, expr.hi, expr.lo
         )
-        is_array = name in self.arrays
-        index_fn = None
-        if is_array:
-            if expr.index is not None:
-                index_fn = self._compile_expr(expr.index, env, nt_value)
-            else:
-                index_fn = lambda s, a, _v=fixed_index: _v
-        if hi is None:
-            if is_array:
-                return lambda s, a, _n=name, _i=index_fn: a[_n][_i(s, a)]
-            return lambda s, a, _n=name: s[_n]
         effective_lo = lo if lo is not None else hi
-        m = mask(hi - effective_lo + 1)
-        if is_array:
+        if name not in self.arrays:
+            if hi is None:
+                return lambda s, a, _n=name: s[_n]
+            m = mask(hi - effective_lo + 1)
             return (
-                lambda s, a, _n=name, _i=index_fn, _lo=effective_lo, _m=m:
-                (a[_n][_i(s, a)] >> _lo) & _m
+                lambda s, a, _n=name, _lo=effective_lo, _m=m:
+                (s[_n] >> _lo) & _m
             )
+        if expr.index is not None:
+            index_fn = self._compile_expr(expr.index, env, nt_value)
+        else:
+            index_fn = lambda s, a, _v=fixed_index: _v
+        depth = len(self.arrays[name])
+
+        def element(s, a, _n=name, _i=index_fn, _d=depth):
+            index = _i(s, a)
+            if not 0 <= index < _d:
+                out_of_range(_n, index, _d)
+            return a[_n][index]
+
+        if hi is None:
+            return element
+        m = mask(hi - effective_lo + 1)
         return (
-            lambda s, a, _n=name, _lo=effective_lo, _m=m:
-            (s[_n] >> _lo) & _m
+            lambda s, a, _e=element, _lo=effective_lo, _m=m:
+            (_e(s, a) >> _lo) & _m
         )
 
     # ------------------------------------------------------------------
@@ -461,6 +486,7 @@ class CompiledSimulator:
         stalls = self._stalls
         pc_name = self._pc
         halt = self._halt
+        counts = self._counts
         steps = 0
         sink: List = []
         while True:
@@ -506,7 +532,7 @@ class CompiledSimulator:
                     (retire + delay, self._seq, phase, commit, index, value),
                 )
             self.cycle = retire
-            self.instructions += 1
+            counts[offset] += 1
             scalars[pc_name] = (address + size) & mask(
                 self._widths[pc_name]
             )
@@ -519,9 +545,4 @@ class CompiledSimulator:
         while pending:
             _, _, _, commit, index, value = heapq.heappop(pending)
             commit(scalars, arrays, index, value)
-        return RunResult(
-            cycles=self.cycle,
-            stall_cycles=self.stall_cycles,
-            instructions=self.instructions,
-            halt_reason="halted",
-        )
+        return RunResult.from_stats(self.stats, "halted")

@@ -12,7 +12,7 @@ program-specialized :mod:`repro.gensim.compiled` simulator (the paper's
 serves any program for the architecture, exactly as the paper describes.
 
 State accesses still go through :class:`~repro.gensim.state.State`, so
-monitors, watchpoints and access counters keep working ("All accesses to
+monitors, watchpoints and bounds checks keep working ("All accesses to
 state are automatically routed through the monitors code").
 """
 

@@ -14,7 +14,9 @@ Cycle model
 2. charges the statically computed stall cycles for the fetch address and
    commits anything that came due during the stall;
 3. executes the instruction at the PC through the processing core (all reads
-   see pre-cycle state; writes accumulate);
+   see pre-cycle state; writes accumulate) and counts one execution of its
+   address — the only per-step statistic; :attr:`Scheduler.stats` derives
+   the rest when it is read;
 4. schedules the produced writes: a write with latency *L* comes due
    ``L - 1`` cycles after this instruction retires (action writes commit
    before side-effect writes of the same cycle);
@@ -33,7 +35,7 @@ from ..errors import SimulationError
 from ..isdl import ast
 from .core import PendingWrite, ProcessingCore
 from .disassembler import DecodedInstruction
-from .state import State
+from .state import State, check_fits
 from .stats import SimulationStats
 from .trace import TraceRecord, TraceSink
 
@@ -45,7 +47,6 @@ class PreparedInstruction:
     decoded: DecodedInstruction
     selections: List  # [(Operation, operands)] for the processing core
     size: int
-    ops_meta: List  # [(field, op_name, occupies_unit)] for statistics
 
 
 @dataclass
@@ -89,7 +90,9 @@ class Scheduler:
         self.core = core
         self.program: Optional[LoadedProgram] = None
         self.cycle = 0
-        self.stats = SimulationStats()
+        self.stall_cycles = 0
+        #: executions per program address (index = address - origin)
+        self.counts: List[int] = []
         self.breakpoints: Dict[int, Breakpoint] = {}
         self.trace: Optional[TraceSink] = None
         #: called with each attached-command string when a breakpoint hits
@@ -104,6 +107,7 @@ class Scheduler:
 
     def attach_program(self, program: LoadedProgram) -> None:
         """Install a loaded program and copy it into instruction memory."""
+        check_fits(self.desc, program.origin, len(program.words))
         self.program = program
         if not program.prepared:
             program.prepared = [
@@ -112,19 +116,15 @@ class Scheduler:
             ]
         im = self.desc.instruction_memory()
         for offset, word in enumerate(program.words):
-            address = program.origin + offset
-            if address >= (im.depth or 0):
-                raise SimulationError(
-                    f"program does not fit: address {address} exceeds"
-                    f" instruction memory depth {im.depth}"
-                )
-            self.state.write(im.name, word, index=address)
+            self.state.write(im.name, word, index=program.origin + offset)
+        self.counts = [0] * len(program)
         self.state.pc = program.origin
 
     def reset(self) -> None:
         """Reset execution state (cycle counter, pending writes, stats)."""
         self.cycle = 0
-        self.stats = SimulationStats()
+        self.stall_cycles = 0
+        self.counts = [0] * len(self.counts)
         self._pending = []
         self._seq = 0
         if self.program is not None:
@@ -132,14 +132,12 @@ class Scheduler:
 
     def _prepare(self, decoded: DecodedInstruction) -> PreparedInstruction:
         selections = []
-        ops_meta = []
         size = 1
         for dop in decoded.operations:
             op = self.desc.operation(dop.field, dop.op_name)
             selections.append((op, dop.operands))
-            ops_meta.append((dop.field, dop.op_name, bool(op.action)))
             size = max(size, op.costs.size)
-        return PreparedInstruction(decoded, selections, size, ops_meta)
+        return PreparedInstruction(decoded, selections, size)
 
     # ------------------------------------------------------------------
     # Halt / status
@@ -150,6 +148,15 @@ class Scheduler:
         if self._halt_flag is None:
             return False
         return self.state.read(self._halt_flag) != 0
+
+    @property
+    def stats(self) -> SimulationStats:
+        """Statistics so far, derived from the per-address counts."""
+        decoded = self.program.decoded if self.program is not None else []
+        return SimulationStats.from_counts(
+            self.desc, decoded, self.counts,
+            cycles=self.cycle, stall_cycles=self.stall_cycles,
+        )
 
     # ------------------------------------------------------------------
     # Write-back queue
@@ -193,10 +200,16 @@ class Scheduler:
         if self.halted:
             return False
         address = self.state.pc
-        self._charge_stalls(address)
-        prepared = self._fetch(address)
+        offset = address - self.program.origin
+        self._charge_stalls(offset)
+        prepared = self._fetch(offset, address)
         result = self.core.execute(self.state, prepared.selections)
-        self._record(address, prepared, result)
+        self.counts[offset] += 1
+        if self.trace is not None:
+            self.trace.emit(TraceRecord(
+                self.cycle, address, prepared.decoded.word,
+                self.program.texts[offset],
+            ))
         retire = self.cycle + result.cycles
         self._schedule_writes(result.action_writes, retire)
         self._schedule_writes(result.side_effect_writes, retire)
@@ -204,19 +217,17 @@ class Scheduler:
         self.state.pc = address + prepared.size
         return True
 
-    def _charge_stalls(self, address: int) -> None:
-        program = self.program
-        offset = address - program.origin
-        if 0 <= offset < len(program.stalls):
-            stall = program.stalls[offset]
+    def _charge_stalls(self, offset: int) -> None:
+        stalls = self.program.stalls
+        if 0 <= offset < len(stalls):
+            stall = stalls[offset]
             if stall:
                 self.cycle += stall
-                self.stats.stall_cycles += stall
+                self.stall_cycles += stall
                 self._commit_due()
 
-    def _fetch(self, address: int) -> PreparedInstruction:
+    def _fetch(self, offset: int, address: int) -> PreparedInstruction:
         program = self.program
-        offset = address - program.origin
         if not 0 <= offset < len(program.prepared):
             raise SimulationError(
                 f"PC 0x{address:x} outside the loaded program"
@@ -227,34 +238,6 @@ class Scheduler:
                 f"executed undefined instruction memory at 0x{address:x}"
             )
         return prepared
-
-    def _record(self, address, prepared, result) -> None:
-        stats = self.stats
-        stats.instructions += 1
-        op_counts = stats.op_counts
-        field_busy = stats.field_busy
-        for field_name, op_name, busy in prepared.ops_meta:
-            op_counts[(field_name, op_name)] += 1
-            if busy:
-                field_busy[field_name] += 1
-        for dop in prepared.decoded.operations:
-            for operand in dop.operands.values():
-                self._count_nt(operand, stats)
-        if self.trace is not None:
-            offset = address - self.program.origin
-            text = self.program.texts[offset]
-            self.trace.emit(
-                TraceRecord(
-                    self.cycle, address, prepared.decoded.word, text
-                )
-            )
-
-    def _count_nt(self, operand, stats) -> None:
-        if isinstance(operand, tuple) and len(operand) == 2:
-            label, sub = operand
-            stats.nt_option_counts[label] += 1
-            for child in sub.values():
-                self._count_nt(child, stats)
 
     # ------------------------------------------------------------------
     # Run loops
@@ -278,27 +261,21 @@ class Scheduler:
                     self._dispatch_commands(bp)
                     return "breakpoint"
             if not self.step():
-                self._finish()
+                self.drain()
                 return "halted"
             steps += 1
             if self.halted:
                 # halt flags written with latency 1 commit on the next
                 # _commit_due; force visibility now for the caller
-                self._finish()
+                self.drain()
                 return "halted"
             # Peek: a pending halt write coming due exactly now.
             self._commit_due()
             if self.halted:
-                self._finish()
+                self.drain()
                 return "halted"
-        self._finish()
-        return "max_steps"
-
-    def _finish(self) -> None:
         self.drain()
-        self.stats.cycles = self.cycle
-        self.stats.storage_reads = dict(self.state.read_counts)
-        self.stats.storage_writes = dict(self.state.write_counts)
+        return "max_steps"
 
     def _dispatch_commands(self, bp: Breakpoint) -> None:
         if self.command_dispatcher is None:

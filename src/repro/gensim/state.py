@@ -5,8 +5,8 @@ memory for each storage element defined in the ISDL description" (paper
 §3.3.1); all accesses are routed through the monitors code.  :class:`State`
 does exactly that: one Python integer per scalar storage, a list of integers
 per addressed storage, every read/write funnelled through a single pair of
-methods that resolve aliases, mask to the declared width, count accesses for
-the utilization statistics, and notify the monitor hooks.
+methods that resolve aliases, mask to the declared width, check indexes,
+and notify the monitor hooks.
 """
 
 from __future__ import annotations
@@ -14,9 +14,27 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..encoding.bits import get_bits, mask, set_bits
-from ..errors import StateError
+from ..errors import SimulationError, StateError
 from ..isdl import ast
 from .monitors import MonitorSet
+
+
+def out_of_range(name: str, index: int, depth: int):
+    """Raise the error every backend reports for an index past a storage."""
+    raise StateError(
+        f"index {index} out of range for {name!r} (depth {depth})"
+    )
+
+
+def check_fits(desc: ast.Description, origin: int, n_words: int) -> None:
+    """Raise unless *n_words* loaded at *origin* fit instruction memory."""
+    im = desc.instruction_memory()
+    depth = im.depth or 0
+    if n_words and origin + n_words > depth:
+        raise SimulationError(
+            f"program does not fit: address {max(origin, depth)} exceeds"
+            f" instruction memory depth {im.depth}"
+        )
 
 
 class State:
@@ -27,11 +45,7 @@ class State:
         self.monitors = MonitorSet()
         self._scalars: Dict[str, int] = {}
         self._arrays: Dict[str, List[int]] = {}
-        self.read_counts: Dict[str, int] = {}
-        self.write_counts: Dict[str, int] = {}
         for storage in desc.storages.values():
-            self.read_counts[storage.name] = 0
-            self.write_counts[storage.name] = 0
             if storage.addressed:
                 self._arrays[storage.name] = [0] * storage.depth
             else:
@@ -86,7 +100,6 @@ class State:
         """Read a state location; returns an unsigned integer."""
         storage, index, hi, lo = self._resolve(name, index, hi, lo)
         raw = self._read_element(storage, index)
-        self.read_counts[storage.name] += 1
         if hi is None:
             return raw
         if lo is None:
@@ -111,7 +124,6 @@ class State:
                 lo = hi
             new = set_bits(old, hi, lo, value)
         self._write_element(storage, index, new)
-        self.write_counts[storage.name] += 1
         if new != old:
             self.monitors.notify(storage.name, index, old, new)
 
@@ -123,10 +135,7 @@ class State:
                 )
             array = self._arrays[storage.name]
             if not 0 <= index < len(array):
-                raise StateError(
-                    f"index {index} out of range for {storage.name!r}"
-                    f" (depth {len(array)})"
-                )
+                out_of_range(storage.name, index, len(array))
             return array[index]
         if index is not None:
             raise StateError(
@@ -145,10 +154,7 @@ class State:
                 )
             array = self._arrays[storage.name]
             if not 0 <= index < len(array):
-                raise StateError(
-                    f"index {index} out of range for {storage.name!r}"
-                    f" (depth {len(array)})"
-                )
+                out_of_range(storage.name, index, len(array))
             array[index] = value
         else:
             if index is not None:
@@ -187,8 +193,3 @@ class State:
                 self._arrays[name][:] = value  # type: ignore[index]
             else:
                 self._scalars[name] = value  # type: ignore[assignment]
-
-    def reset_counters(self) -> None:
-        for name in self.read_counts:
-            self.read_counts[name] = 0
-            self.write_counts[name] = 0

@@ -1,34 +1,69 @@
 """Performance measurements and utilization statistics (paper §1, §3).
 
 The ILS exists to "measure performance, verify correctness and evaluate the
-suitability of the architecture" — cycle counts, per-operation and per-field
-utilization, storage traffic.  These statistics feed the exploration loop's
-improvement heuristics (:mod:`repro.explore`).
+suitability of the architecture" — cycle counts plus per-operation and
+per-field utilization.  These statistics feed the exploration loop's
+improvement heuristics (:mod:`repro.explore`) and the power estimate.
+
+Every backend records how many times each program address executed, and
+:meth:`SimulationStats.from_counts` turns those counts and the load-time
+decode into the statistics, so they do not depend on which engine ran.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Dict
+from typing import Dict, Iterable, Sequence
 
 from ..isdl import ast
 
 
 @dataclass
 class SimulationStats:
-    """Counters accumulated by the scheduler during a run."""
+    """Cycle counts and utilization of one run (or a sum of runs)."""
 
     cycles: int = 0  # total cycles including stalls
     stall_cycles: int = 0  # cycles attributed to hazards
     instructions: int = 0  # instructions issued
     op_counts: Counter = field(default_factory=Counter)  # (field, op) -> n
     field_busy: Counter = field(default_factory=Counter)  # field -> n
-    nt_option_counts: Counter = field(default_factory=Counter)
 
-    # Filled from the State when a run finishes.
-    storage_reads: Dict[str, int] = field(default_factory=dict)
-    storage_writes: Dict[str, int] = field(default_factory=dict)
+    @classmethod
+    def from_counts(cls, desc: ast.Description, decoded: Sequence,
+                    counts: Sequence[int], **scalars) -> "SimulationStats":
+        """Statistics of a run from its per-address execution counts.
+
+        *decoded* is the program's load-time decode and ``counts[i]`` the
+        number of times address ``origin + i`` executed; *scalars* carries
+        the driver's own counters (``cycles``, ``stall_cycles``).  A field
+        is busy when its operation has an action: explicit NOPs do no work.
+        """
+        active = {(fld.name, op.name) for fld, op in desc.operations()
+                  if op.action}
+        op_counts: Counter = Counter()
+        field_busy: Counter = Counter()
+        for instruction, n in zip(decoded, counts):
+            if n:
+                for dop in instruction.operations:
+                    key = (dop.field, dop.op_name)
+                    op_counts[key] += n
+                    if key in active:
+                        field_busy[dop.field] += n
+        return cls(instructions=sum(counts), op_counts=op_counts,
+                   field_busy=field_busy, **scalars)
+
+    @classmethod
+    def merge(cls, runs: Iterable["SimulationStats"]) -> "SimulationStats":
+        """The total of several runs (one per kernel of an evaluation)."""
+        total = cls()
+        for run in runs:
+            total.cycles += run.cycles
+            total.stall_cycles += run.stall_cycles
+            total.instructions += run.instructions
+            total.op_counts.update(run.op_counts)
+            total.field_busy.update(run.field_busy)
+        return total
 
     @property
     def base_cycles(self) -> int:
@@ -97,14 +132,12 @@ class RunResult(SimulationStats):
     halt_reason: str = ""
 
     @classmethod
-    def from_stats(cls, stats: SimulationStats, halt_reason: str,
-                   cycles: int = None) -> "RunResult":
+    def from_stats(cls, stats: SimulationStats,
+                   halt_reason: str) -> "RunResult":
         """Wrap *stats* (counters are shared, not copied) with a reason."""
-        values = {f.name: getattr(stats, f.name)
-                  for f in fields(SimulationStats)}
-        if cycles is not None:
-            values["cycles"] = cycles
-        return cls(halt_reason=halt_reason, **values)
+        return cls(halt_reason=halt_reason,
+                   **{f.name: getattr(stats, f.name)
+                      for f in fields(SimulationStats)})
 
     def __eq__(self, other):
         if isinstance(other, SimulationStats):

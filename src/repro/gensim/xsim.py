@@ -106,9 +106,7 @@ class XSim:
         hits_before = monitors.hits_total
         with obs.span("sim.run", backend="xsim", desc=self.desc.name):
             reason = self.scheduler.run(max_steps, honor_breakpoints)
-        # stats.cycles is finalized on halt/max_steps but not at a
-        # breakpoint; the scheduler's live cycle counter is always right.
-        result = RunResult.from_stats(self.stats, reason, cycles=self.cycle)
+        result = RunResult.from_stats(self.stats, reason)
         if obs.enabled():
             obs.add("sim.runs")
             obs.add("sim.cycles", result.cycles)
@@ -122,7 +120,6 @@ class XSim:
         if result.halt_reason != "halted":
             raise SimulationError(
                 f"program did not halt within {max_steps} steps"
-                f" ({result.halt_reason})"
             )
         return result
 

@@ -24,7 +24,7 @@ from repro.arch.workloads import (
 from repro.asm import Assembler
 from repro.cache import ArtifactCache
 from repro.errors import SimulationError
-from repro.gensim import MonitorSet, Simulator, simulator_for
+from repro.gensim import MonitorSet, Simulator, XSim, simulator_for
 from repro.gensim.blocksim import BlockSimulator
 from repro.gensim.compiled import CompiledSimulator
 
@@ -67,12 +67,16 @@ def assert_state_matches(arch, sim, reference):
 )
 def test_matches_interpretive_simulator(arch, workload):
     reference = run_workload(workload)
-    block, result = run_block(workload)
-    assert result.cycles == reference.stats.cycles
-    assert result.instructions == reference.stats.instructions
-    assert result.stall_cycles == reference.stats.stall_cycles
-    assert result.halt_reason == "halted"
-    assert_state_matches(arch, block, reference)
+    for proofs in (False, True):
+        block, result = run_block(workload, proofs=proofs)
+        assert result.cycles == reference.stats.cycles
+        assert result.instructions == reference.stats.instructions
+        assert result.stall_cycles == reference.stats.stall_cycles
+        assert (result.op_counts, result.field_busy) == (
+            reference.stats.op_counts, reference.stats.field_busy
+        ), f"proofs={proofs}"
+        assert result.halt_reason == "halted"
+        assert_state_matches(arch, block, reference)
 
 
 @settings(max_examples=12, deadline=None)
@@ -181,6 +185,69 @@ def test_run_after_halt_is_idempotent(risc16_desc):
     again = sim.run()
     assert again.cycles == first.cycles
     assert again.instructions == first.instructions
+
+
+# ---------------------------------------------------------------------------
+# Execution counts (the statistics every backend derives from)
+# ---------------------------------------------------------------------------
+
+
+def _xsim_result(desc, source):
+    sim = XSim(desc)
+    program = Assembler(desc).assemble(source)
+    sim.load_words(program.words, program.origin)
+    return sim.run_to_completion()
+
+
+def test_halt_mid_block_uncounts_the_skipped_tail(risc16_desc):
+    # halt is not a terminator: the block runs on past it, and the halt
+    # exit leaves after two of its five instructions
+    source = "ldi r1, #1\nhalt\nldi r2, #2\nadd r3, r1, r2\nhalt\n"
+    block = BlockSimulator(risc16_desc)
+    program = Assembler(risc16_desc).assemble(source)
+    block.load_words(program.words, program.origin)
+    result = block.run()
+    assert block.block_stats.deopts == 0
+    assert block._blocks.blocks[0].n == 5
+    assert result.instructions == 2
+    assert result == _xsim_result(risc16_desc, source)
+
+
+def test_second_program_counts_only_itself(risc16_desc):
+    first = risc16_sum_loop(6).source
+    second = "ldi r1, #3\nldi r2, #4\nadd r3, r1, r2\nhalt\n"
+    results = {}
+    for cls in (XSim, BlockSimulator):
+        sim = cls(risc16_desc)
+        for source in (first, second):
+            program = Assembler(risc16_desc).assemble(source)
+            sim.load_words(program.words, program.origin)
+            sim.write("HALTED", 0)
+            result = sim.run()
+        results[cls] = result
+    assert results[BlockSimulator] == results[XSim]
+    fresh = _xsim_result(risc16_desc, second)
+    assert results[BlockSimulator].op_counts == fresh.op_counts
+    assert results[BlockSimulator].instructions == fresh.instructions
+
+
+def test_reset_clears_counts(risc16_desc):
+    block, result = run_block(risc16_sum_loop(4))
+    assert result.instructions > 0
+    block.reset()
+    assert block.stats.instructions == 0
+    assert not block.stats.op_counts
+
+
+def test_monitor_forced_deopt_counts_match_xsim(risc16_desc):
+    workload = risc16_sum_loop(5)
+    reference = run_workload(workload)
+    monitors = MonitorSet()
+    monitors.watch("DM")
+    block, result = run_block(workload, monitors=monitors)
+    stats = block.block_stats
+    assert 0 < stats.deopts < stats.dispatches  # both paths counted
+    assert result == reference.stats
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from repro.arch import all_workloads, description_for
 from repro.asm import Assembler
 from repro.cache import ArtifactCache
+from repro.gensim import XSim
 from repro.gensim.blocksim import BlockSimulator
 
 CASES = [(w.arch, w) for w in all_workloads()]
@@ -92,6 +93,17 @@ def test_superblock_chain_fuses_and_cuts_dispatches(risc16_desc):
     assert stats.chain_dispatches > 0
     # the loop body dispatches as one fused unit instead of two blocks
     assert stats.dispatches < guarded.block_stats.dispatches
+
+
+def test_fused_chain_counts_match_xsim(risc16_desc):
+    """A fused dispatch counts every member block's instructions."""
+    reference = XSim(risc16_desc)
+    program = Assembler(risc16_desc).assemble(CHAIN_SOURCE)
+    reference.load_words(program.words, program.origin)
+    want = reference.run_to_completion()
+    certified, got = _run(risc16_desc, source=CHAIN_SOURCE, proofs=True)
+    assert certified.block_stats.chain_dispatches > 0
+    assert got == want
 
 
 def test_chain_run_survives_proof_check(risc16_desc, monkeypatch):

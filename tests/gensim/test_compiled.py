@@ -40,6 +40,9 @@ def test_matches_interpretive_simulator(arch, workload):
     assert stats.cycles == reference.stats.cycles
     assert stats.instructions == reference.stats.instructions
     assert stats.stall_cycles == reference.stats.stall_cycles
+    assert (stats.op_counts, stats.field_busy) == (
+        reference.stats.op_counts, reference.stats.field_busy
+    )
     desc = description_for(arch)
     for storage in desc.storages.values():
         if storage.addressed:

@@ -76,16 +76,6 @@ def test_alias_cannot_be_indexed(state):
         state.read("C", 1)
 
 
-def test_access_counters(state):
-    state.read("RF", 0)
-    state.read("RF", 1)
-    state.write("RF", 5, 0)
-    assert state.read_counts["RF"] >= 2
-    assert state.write_counts["RF"] == 1
-    state.reset_counters()
-    assert state.read_counts["RF"] == 0
-
-
 def test_dump_and_restore(state):
     state.write("RF", 42, 3)
     state.write("CCR", 0b11)
