@@ -631,12 +631,12 @@ def _program_fixpoints(instr: Dict[int, InstrFacts], raw: Dict[int, Dict],
 
 def _build_program_facts(desc: ast.Description, words: Sequence[int],
                          origin: int, name: str,
-                         parent_facts: Optional[ProgramFacts]
-                         ) -> ProgramFacts:
+                         parent_facts: Optional[ProgramFacts],
+                         table=None) -> ProgramFacts:
     from ..gensim.disassembler import Disassembler
 
     analyzer = _InstrAnalyzer(desc)
-    disasm = Disassembler(desc)
+    disasm = Disassembler(desc, table)
     decoded = [disasm.disassemble(word) for word in words]
     flows = analyzer.cfa.flows_for_program(decoded)
     n_words = len(words)
@@ -714,15 +714,17 @@ def _build_program_facts(desc: ast.Description, words: Sequence[int],
 
 def program_facts(desc: ast.Description, words: Sequence[int],
                   origin: int = 0, *, name: str = "<program>",
-                  cache=None, parent: Optional[ast.Description] = None
-                  ) -> ProgramFacts:
+                  cache=None, parent: Optional[ast.Description] = None,
+                  table=None) -> ProgramFacts:
     """Dataflow facts for *words* loaded at *origin* under *desc*.
 
-    With a *cache* the result is memoized by (description fingerprint,
-    words, origin).  With a *parent* description whose facts for the
-    same program are cached, per-instruction summaries are reused for
-    every instruction whose decoded operations are byte-identical
-    definitions — the fixpoints (cheap) always re-run.  Set
+    *table* is the description's signature table, when the caller holds
+    one, to decode the words with.  With a *cache* the result is memoized
+    by (description fingerprint, words, origin).  With a *parent*
+    description whose facts for the same program are cached,
+    per-instruction summaries are reused for every instruction whose
+    decoded operations are byte-identical definitions — the fixpoints
+    (cheap) always re-run.  Set
     ``REPRO_INCREMENTAL_CHECK=1`` to shadow-build cold and assert the
     incremental result identical.
     """
@@ -732,7 +734,7 @@ def program_facts(desc: ast.Description, words: Sequence[int],
             parent_facts = cache.peek_facts(parent, words, origin)
         with obs.span("analyze.dataflow", desc=desc.name, program=name):
             facts = _build_program_facts(
-                desc, words, origin, name, parent_facts
+                desc, words, origin, name, parent_facts, table
             )
         if parent_facts is not None:
             if cache is not None:
@@ -753,14 +755,14 @@ def program_facts(desc: ast.Description, words: Sequence[int],
 
 def arch_facts(desc: ast.Description,
                programs: Sequence[Tuple[str, Sequence[int], int]], *,
-               cache=None, parent: Optional[ast.Description] = None
-               ) -> ArchFacts:
+               cache=None, parent: Optional[ast.Description] = None,
+               table=None) -> ArchFacts:
     """Facts for every ``(name, words, origin)`` program under *desc*."""
     return ArchFacts(
         desc_fp=fingerprint(desc),
         programs={
             name: program_facts(desc, words, origin, name=name,
-                                cache=cache, parent=parent)
+                                cache=cache, parent=parent, table=table)
             for name, words, origin in programs
         },
     )

@@ -758,7 +758,7 @@ def pass_dataflow(ctx: PassContext) -> List[Diagnostic]:
     from .dataflow import arch_facts
 
     facts = arch_facts(desc, ctx.programs, cache=ctx.cache,
-                       parent=ctx.parent)
+                       parent=ctx.parent, table=ctx.table)
     for name, program in sorted(facts.programs.items()):
         if program.complete:
             for start, length in _unreachable_runs(program):

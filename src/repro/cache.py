@@ -59,6 +59,13 @@ from . import obs
 
 __all__ = ["ArtifactCache", "CacheStats", "kernel_fingerprint"]
 
+#: Version of what the on-disk layer's pickles hold and mean, hashed into
+#: every disk entry's name.  Bump it with any change that alters a
+#: persisted artifact (an evaluation's statistics or power, a program's
+#: encoding), so a disk cache written by an older build misses instead of
+#: serving its stale results.
+DISK_SCHEMA_VERSION = 1
+
 
 def kernel_fingerprint(kernel) -> str:
     """Stable digest of an IR kernel (dataclass reprs are deterministic)."""
@@ -233,7 +240,9 @@ class ArtifactCache:
     _tmp_seq = itertools.count()
 
     def _disk_file(self, kind: str, key: Hashable) -> str:
-        digest = hashlib.sha256(repr((kind, key)).encode()).hexdigest()
+        digest = hashlib.sha256(
+            repr((DISK_SCHEMA_VERSION, kind, key)).encode()
+        ).hexdigest()
         return os.path.join(self.disk_path, f"{kind}-{digest[:32]}.pkl")
 
     def _disk_load(self, kind: str, key: Hashable) -> Tuple[Any, bool]:
@@ -524,7 +533,7 @@ class ArtifactCache:
 
     def synthesized(self, desc, fp: Optional[str] = None, *,
                     share: bool = True, use_constraints: bool = True,
-                    parent=None, tech=None):
+                    parent=None, tech=None, table=None):
         """Memoized :func:`repro.hgen.synthesize` hardware model.
 
         With *parent*, a miss synthesizes incrementally off the parent's
@@ -537,6 +546,9 @@ class ArtifactCache:
         model into a scaled technology **after** the cache fetch — the
         synth cache itself stays technology independent, so one stored
         synthesis serves every node/flavor a sweep asks for.
+
+        *table* is the description's signature table, when the caller
+        holds one, for a miss to synthesize from.
         """
         from .hgen import synthesize
 
@@ -556,7 +568,7 @@ class ArtifactCache:
                     )
             model = synthesize(desc, share=share,
                                use_constraints=use_constraints,
-                               reuse_from=reuse_from)
+                               table=table, reuse_from=reuse_from)
             if reuse_from is not None:
                 self.note_incremental("synth", model.reuse_counts)
             return model

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from .. import obs
+from ..encoding.signature import SignatureTable
 from ..errors import CodegenError
 from ..isdl import ast, rtl
 from .ir import (
@@ -69,9 +70,15 @@ class Compiler:
     """A code generator retargeted from one machine description."""
 
     def __init__(self, desc: ast.Description,
-                 isa: Optional[TargetIsa] = None):
+                 isa: Optional[TargetIsa] = None,
+                 table: Optional[SignatureTable] = None):
+        """*table* is the description's signature table when the caller
+        already has one; the assembler behind :meth:`compile_to_words`
+        then shares it instead of building its own."""
         self.desc = desc
         self.isa = isa or analyze(desc)
+        self.table = table
+        self._assembler = None
         self._temp_counter = 1 << 20  # temp vregs above user vregs
 
     # ------------------------------------------------------------------
@@ -95,7 +102,9 @@ class Compiler:
         from ..asm import Assembler
 
         program = self.compile(kernel, parallelize)
-        return Assembler(self.desc).assemble(
+        if self._assembler is None:
+            self._assembler = Assembler(self.desc, self.table)
+        return self._assembler.assemble(
             program.source, filename=f"{kernel.name}.s"
         )
 

@@ -17,24 +17,83 @@ HGEN decode-logic generator (paper §4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..errors import EncodingError, IsdlSemanticError
+from ..errors import (
+    AmbiguousEncodingError,
+    DisassemblyError,
+    EncodingError,
+    IsdlSemanticError,
+)
 from ..isdl import ast
 
 #: A decoded operand: token parameters bind to an integer value; non-terminal
 #: parameters bind to ``(option_label, {sub_param: operand, ...})``.
 Operand = Union[int, Tuple[str, Dict[str, "Operand"]]]
 
+#: One contiguous stretch of a parameter's encoding: ``width`` word bits
+#: from ``word_lo`` carry value bits from ``value_lo`` upwards.
+BitRun = Tuple[int, int, int]
 
-@dataclass(frozen=True)
+
+def _derived():
+    """A view computed at construction, kept out of ``==``/hash/repr."""
+    return field(init=False, compare=False, hash=False, repr=False)
+
+
+@dataclass(frozen=True, slots=True)
 class Signature:
-    """The per-bit symbol image of one operation or non-terminal option."""
+    """The per-bit symbol image of one operation or non-terminal option.
+
+    The symbol image is the definition; the masks and per-parameter bit
+    views are derived from it once, at construction, so matching a word
+    is one AND and recovering or placing a parameter is one shift-and-mask
+    per contiguous bit run.
+    """
 
     width: int
     symbols: Tuple[object, ...]  # length == width, indexed by bit position
+    #: mask of bits carrying a 0/1 constant
+    constant_mask: int = _derived()
+    #: the constant bits' values (within :attr:`constant_mask`)
+    constant_value: int = _derived()
+    #: mask of every bit the assembly function sets (non-don't-care)
+    defined_mask: int = _derived()
+    #: parameter name -> its maximal :data:`BitRun` s in word-bit order;
+    #: names in order of first appearance
+    _runs: Dict[str, Tuple[BitRun, ...]] = _derived()
+
+    def __post_init__(self):
+        constant_mask = constant_value = defined_mask = 0
+        runs: Dict[str, List[List[int]]] = {}
+        for position, symbol in enumerate(self.symbols):
+            if symbol is None:
+                continue
+            bit = 1 << position
+            defined_mask |= bit
+            if isinstance(symbol, tuple):
+                name, value_bit = symbol
+                merged = runs.setdefault(name, [])
+                last = merged[-1] if merged else None
+                if (last is not None and position == last[0] + last[1]
+                        and value_bit == last[2] + last[1]):
+                    last[1] += 1  # word and value bit both advance
+                else:
+                    merged.append([position, 1, value_bit])
+            elif symbol in (0, 1):
+                constant_mask |= bit
+                if symbol == 1:
+                    constant_value |= bit
+        setattr_ = object.__setattr__
+        setattr_(self, "constant_mask", constant_mask)
+        setattr_(self, "constant_value", constant_value)
+        setattr_(self, "defined_mask", defined_mask)
+        setattr_(self, "_runs", {
+            name: tuple(tuple(run) for run in merged)
+            for name, merged in runs.items()
+        })
 
     # -- construction ------------------------------------------------------
 
@@ -64,48 +123,22 @@ class Signature:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def constant_mask(self) -> int:
-        """Mask of bits carrying a 0/1 constant."""
-        result = 0
-        for position, symbol in enumerate(self.symbols):
-            if symbol in (0, 1):
-                result |= 1 << position
-        return result
-
-    @property
-    def constant_value(self) -> int:
-        """The constant bits' values (within :attr:`constant_mask`)."""
-        result = 0
-        for position, symbol in enumerate(self.symbols):
-            if symbol == 1:
-                result |= 1 << position
-        return result
-
-    @property
-    def defined_mask(self) -> int:
-        """Mask of every bit the assembly function sets (non-don't-care)."""
-        result = 0
-        for position, symbol in enumerate(self.symbols):
-            if symbol is not None:
-                result |= 1 << position
-        return result
-
     def param_positions(self, name: str) -> List[Tuple[int, int]]:
-        """``(word_bit, value_bit)`` pairs for parameter *name*."""
+        """``(word_bit, value_bit)`` pairs for parameter *name*, in word-bit
+        order."""
         return [
-            (position, symbol[1])
-            for position, symbol in enumerate(self.symbols)
-            if isinstance(symbol, tuple) and symbol[0] == name
+            (word_lo + offset, value_lo + offset)
+            for word_lo, width, value_lo in self._runs.get(name, ())
+            for offset in range(width)
         ]
+
+    def param_runs(self, name: str) -> Tuple[BitRun, ...]:
+        """Parameter *name*'s encoding as maximal contiguous bit runs."""
+        return self._runs.get(name, ())
 
     def param_names(self) -> List[str]:
         """Parameter names appearing in the signature, in bit order."""
-        seen: List[str] = []
-        for symbol in self.symbols:
-            if isinstance(symbol, tuple) and symbol[0] not in seen:
-                seen.append(symbol[0])
-        return seen
+        return list(self._runs)
 
     # -- the assembly function and its inverse ------------------------------
 
@@ -120,23 +153,19 @@ class Signature:
         pattern.  Don't-care bits are left zero.
         """
         word = self.constant_value
-        for position, symbol in enumerate(self.symbols):
-            if isinstance(symbol, tuple):
-                name, value_bit = symbol
-                if name not in param_bits:
-                    raise EncodingError(
-                        f"missing value for parameter {name!r}"
-                    )
-                if (param_bits[name] >> value_bit) & 1:
-                    word |= 1 << position
+        for name, runs in self._runs.items():
+            if name not in param_bits:
+                raise EncodingError(f"missing value for parameter {name!r}")
+            bits = param_bits[name]
+            for word_lo, width, value_lo in runs:
+                word |= ((bits >> value_lo) & ((1 << width) - 1)) << word_lo
         return word
 
     def extract(self, word: int, name: str) -> int:
         """Invert the encoding of parameter *name* from *word*."""
         value = 0
-        for position, value_bit in self.param_positions(name):
-            if (word >> position) & 1:
-                value |= 1 << value_bit
+        for word_lo, width, value_lo in self._runs.get(name, ()):
+            value |= ((word >> word_lo) & ((1 << width) - 1)) << value_lo
         return value
 
 
@@ -145,11 +174,77 @@ class Signature:
 # ---------------------------------------------------------------------------
 
 
+class _DecodeIndex:
+    """The rows of one field (or non-terminal), grouped by constant mask.
+
+    A row matches a word when the word's bits under the row's constant
+    mask equal its constant value.  Rows sharing a mask therefore sit in
+    one ``{constant_value: rows}`` dict, and a word costs one lookup per
+    distinct mask.  Every matching row is found — the same set a linear
+    scan over the rows would find — so a word with more than one hit
+    across the groups is ambiguous exactly when the scan says so.
+    """
+
+    __slots__ = ("owner", "groups")
+
+    def __init__(self, owner, rows):
+        self.owner = owner
+        grouped: Dict[int, Dict[int, Tuple]] = {}
+        for row in rows:
+            _, signature = row
+            by_value = grouped.setdefault(signature.constant_mask, {})
+            value = signature.constant_value
+            by_value[value] = by_value.get(value, ()) + (row,)
+        self.groups = tuple(grouped.items())
+
+    def lookup(self, word: int):
+        found = None
+        for mask, by_value in self.groups:
+            rows = by_value.get(word & mask)
+            if rows is not None:
+                found = rows if found is None else found + rows
+        if found is not None and len(found) == 1:
+            return found[0]
+        raise self._error(word, found or ())
+
+    def _error(self, word: int, rows) -> DisassemblyError:
+        owner = self.owner
+        if isinstance(owner, ast.NonTerminal):
+            if not rows:
+                return DisassemblyError(
+                    f"ILLEGAL INSTRUCTION: value 0x{word:x} matches no option"
+                    f" of non-terminal {owner.name!r}"
+                )
+            names = sorted(f"{owner.name}.{option.label}"
+                           for option, _ in rows)
+            return AmbiguousEncodingError(
+                f"AMBIGUOUS INSTRUCTION: value 0x{word:x} matches"
+                f" {len(names)} options of non-terminal {owner.name!r}:"
+                f" {', '.join(names)}",
+                matches=tuple(names),
+            )
+        if not rows:
+            return DisassemblyError(
+                f"ILLEGAL INSTRUCTION: word 0x{word:x} matches no operation"
+                f" in field {owner.name!r}"
+            )
+        names = sorted(f"{owner.name}.{op.name}" for op, _ in rows)
+        return AmbiguousEncodingError(
+            f"AMBIGUOUS INSTRUCTION: word 0x{word:x} matches"
+            f" {len(names)} operations in field {owner.name!r}:"
+            f" {', '.join(names)} (assembly function is not"
+            " decodable — see Axiom 1)",
+            matches=tuple(names),
+        )
+
+
 class SignatureTable:
     """All signatures of a description, for operations and NT options.
 
-    Built once per description; shared by the assembler, the disassembler
-    generator, and the decode-logic generator.
+    Built once per description; shared by the assembler, the disassembler,
+    the decode-logic generator and the dataflow analyses.  Decoding goes
+    through :meth:`decode`, which looks words up in one mask-grouped index
+    per field and per non-terminal, derived from the rows on first use.
     """
 
     def __init__(self, desc: ast.Description,
@@ -159,6 +254,8 @@ class SignatureTable:
         self.option_signatures: Dict[Tuple[str, str], Signature] = {}
         #: (rows carried over, rows built) when built incrementally.
         self.reuse_counts: Dict[str, int] = {}
+        self._field_indexes: Dict[str, _DecodeIndex] = {}
+        self._nt_indexes: Dict[str, _DecodeIndex] = {}
         carry: Dict[Tuple[str, str], Signature] = {}
         if reuse_from is not None:
             # A row is a pure function of the operation's encoding, the
@@ -214,6 +311,31 @@ class SignatureTable:
 
     def option(self, nt_name: str, label: str) -> Signature:
         return self.option_signatures[(nt_name, label)]
+
+    # -- decoding (paper Fig. 4's constant match) ----------------------------
+
+    def decode(self, owner: Union[ast.Field, ast.NonTerminal], word: int):
+        """``(operation, signature)`` of the one operation of field *owner*
+        whose constant bits match *word* — or ``(option, signature)`` when
+        *owner* is a non-terminal and *word* its return value.
+
+        Raises :class:`~repro.errors.DisassemblyError` when nothing
+        matches and :class:`~repro.errors.AmbiguousEncodingError`, naming
+        every match, when more than one does.
+        """
+        nonterminal = isinstance(owner, ast.NonTerminal)
+        indexes = self._nt_indexes if nonterminal else self._field_indexes
+        index = indexes.get(owner.name)
+        if index is None:
+            # two threads racing here build equal indexes; either may stay
+            if nonterminal:
+                rows = [(option, self.option(owner.name, option.label))
+                        for option in owner.options]
+            else:
+                rows = [(op, self.operation(owner.name, op.name))
+                        for op in owner.operations]
+            index = indexes[owner.name] = _DecodeIndex(owner, rows)
+        return index.lookup(word)
 
     # -- recursive operand encoding -----------------------------------------
 
@@ -304,14 +426,10 @@ def decode_preserved(table: SignatureTable, desc: ast.Description,
         return True
     for word in set(words):
         for fld in desc.fields:
-            matched = None
-            for op in fld.operations:
-                if table.operation(fld.name, op.name).matches(word):
-                    if matched is not None:
-                        return False  # ambiguous: no proof
-                    matched = op
-            if matched is None:
-                return False  # illegal in the child: let the load raise
-            if not delta.op_unchanged(fld.name, matched.name):
+            try:
+                op, _ = table.decode(fld, word)
+            except DisassemblyError:
+                return False  # illegal or ambiguous: no proof
+            if not delta.op_unchanged(fld.name, op.name):
                 return False
     return True

@@ -745,6 +745,7 @@ class BlockSimulator(CompiledSimulator):
         facts = program_facts(
             self.desc, words, origin, name=f"<words@{origin:#x}>",
             cache=self.cache, parent=self._parent,
+            table=self.disassembler.table,
         )
         cert = derive_deopt_freedom(self.desc, facts)
         if cert is not None and check_deopt_freedom(

@@ -5,7 +5,9 @@ determine which operations correspond to each input instruction.  The
 algorithm is the paper's: for each field, match the constant part of every
 operation signature against the instruction word (unique for a decodable
 assembly function), then reverse the parameter encodings — recursing through
-non-terminal return values (``disassemble_ntl``).
+non-terminal return values (``disassemble_ntl``).  The constant match is a
+table lookup: :meth:`SignatureTable.decode` groups a field's signatures by
+constant mask, so a word costs one dict lookup per distinct mask.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import obs
 from ..encoding.signature import Operand, Signature, SignatureTable
-from ..errors import AmbiguousEncodingError, DisassemblyError
 from ..isdl import ast
 
 
@@ -96,51 +97,14 @@ class Disassembler:
     # -- paper Fig. 4: disassemble_field(s, f) ------------------------------
 
     def _disassemble_field(self, word: int, fld: ast.Field) -> DecodedOperation:
-        matches = [
-            op for op in fld.operations
-            if self.table.operation(fld.name, op.name).matches(word)
-        ]
-        if len(matches) > 1:
-            names = sorted(f"{fld.name}.{op.name}" for op in matches)
-            raise AmbiguousEncodingError(
-                f"AMBIGUOUS INSTRUCTION: word 0x{word:x} matches"
-                f" {len(names)} operations in field {fld.name!r}:"
-                f" {', '.join(names)} (assembly function is not"
-                " decodable — see Axiom 1)",
-                matches=tuple(names),
-            )
-        if not matches:
-            raise DisassemblyError(
-                f"ILLEGAL INSTRUCTION: word 0x{word:x} matches no operation"
-                f" in field {fld.name!r}"
-            )
-        op = matches[0]
-        signature = self.table.operation(fld.name, op.name)
+        op, signature = self.table.decode(fld, word)
         operands = self._decode_params(word, op.params, signature)
         return DecodedOperation(fld.name, op.name, operands)
 
     # -- paper Fig. 4: disassemble_ntl(s, n) --------------------------------
 
     def _disassemble_ntl(self, value: int, nt: ast.NonTerminal) -> Operand:
-        matches = [
-            option for option in nt.options
-            if self.table.option(nt.name, option.label).matches(value)
-        ]
-        if len(matches) > 1:
-            names = sorted(f"{nt.name}.{option.label}" for option in matches)
-            raise AmbiguousEncodingError(
-                f"AMBIGUOUS INSTRUCTION: value 0x{value:x} matches"
-                f" {len(names)} options of non-terminal {nt.name!r}:"
-                f" {', '.join(names)}",
-                matches=tuple(names),
-            )
-        if not matches:
-            raise DisassemblyError(
-                f"ILLEGAL INSTRUCTION: value 0x{value:x} matches no option"
-                f" of non-terminal {nt.name!r}"
-            )
-        option = matches[0]
-        signature = self.table.option(nt.name, option.label)
+        option, signature = self.table.decode(nt, value)
         operands = self._decode_params(value, option.params, signature)
         return (option.label, operands)
 

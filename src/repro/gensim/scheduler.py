@@ -35,6 +35,7 @@ from ..errors import SimulationError
 from ..isdl import ast
 from .core import PendingWrite, ProcessingCore
 from .disassembler import DecodedInstruction
+from .render import render_instruction
 from .state import State, check_fits
 from .stats import SimulationStats
 from .trace import TraceRecord, TraceSink
@@ -56,14 +57,29 @@ class LoadedProgram:
     words: List[int]
     decoded: List[Optional[DecodedInstruction]]
     stalls: List[int]
-    texts: List[str]
+    desc: ast.Description = field(repr=False, compare=False)
     origin: int = 0
     prepared: List[Optional[PreparedInstruction]] = field(
         default_factory=list
     )
+    _texts: Optional[List[str]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self.words)
+
+    @property
+    def texts(self) -> List[str]:
+        """The assembly text of each word, rendered on first use (trace
+        records and disassembly listings read it; a plain run never does).
+        """
+        if self._texts is None:
+            self._texts = [
+                render_instruction(self.desc, decoded)
+                for decoded in self.decoded
+            ]
+        return self._texts
 
 
 @dataclass

@@ -21,7 +21,6 @@ from .fastcore import FastCore
 from .disassembler import Disassembler
 from .hazards import HazardAnalyzer
 from .monitors import Monitor
-from .render import render_instruction
 from .scheduler import Breakpoint, LoadedProgram, Scheduler
 from .state import State
 from .stats import RunResult, SimulationStats
@@ -66,8 +65,8 @@ class XSim:
         """Load raw instruction words; disassembles the program off-line."""
         decoded = [self.disassembler.disassemble(word) for word in words]
         stalls = self.hazards.stalls_for_program(decoded)
-        texts = [render_instruction(self.desc, ins) for ins in decoded]
-        program = LoadedProgram(list(words), decoded, stalls, texts, origin)
+        program = LoadedProgram(list(words), decoded, stalls, self.desc,
+                                origin)
         self.program = program
         self.scheduler.attach_program(program)
         return program

@@ -254,26 +254,18 @@ class DatapathBuilder:
     def _param_wiring(self, ctx: _Ctx, name: str,
                       signature: Signature) -> Net:
         """Recover a parameter's value bits from the context word (wiring)."""
-        positions = signature.param_positions(name)
-        if not positions:
+        # one part per contiguous run (word and value bit advancing
+        # together), in value-bit order
+        runs = sorted(signature.param_runs(name), key=lambda run: run[2])
+        if not runs:
             raise SynthesisError(
                 f"parameter {name!r} of {ctx.owner} has no encoding bits"
             )
-        value_width = 1 + max(vbit for _, vbit in positions)
-        # Group contiguous runs (word bit and value bit advancing together).
-        positions.sort(key=lambda pair: pair[1])
-        parts: List[Tuple[Net, int, int, int]] = []
-        run_start = 0
-        for i in range(1, len(positions) + 1):
-            if (
-                i == len(positions)
-                or positions[i][1] != positions[i - 1][1] + 1
-                or positions[i][0] != positions[i - 1][0] + 1
-            ):
-                lo_word, lo_value = positions[run_start]
-                hi_word, _ = positions[i - 1]
-                parts.append((ctx.word, hi_word, lo_word, lo_value))
-                run_start = i
+        value_width = max(value_lo + width for _, width, value_lo in runs)
+        parts: List[Tuple[Net, int, int, int]] = [
+            (ctx.word, word_lo + width - 1, word_lo, value_lo)
+            for word_lo, width, value_lo in runs
+        ]
         out = self.netlist.new_net(value_width, f"p_{name}")
         self.netlist.add(Concat(out, parts))
         return out

@@ -79,6 +79,21 @@ def test_disassembly_listing(sim):
     assert "halt" in listing[-1]
 
 
+def test_texts_render_on_first_use(sim, risc16_desc):
+    from repro.gensim import render_instruction
+
+    program = sim.program
+    assert program._texts is None  # loading renders nothing
+    sim.run_to_completion()
+    assert program._texts is None  # nor does an untraced run
+    expected = [render_instruction(risc16_desc, ins)
+                for ins in program.decoded]
+    assert program.texts == expected
+    assert program.texts is program.texts  # rendered once
+    assert [line.split(": ", 1)[1]
+            for line in sim.disassembly_listing()] == expected
+
+
 def test_listing_renders_nt_operands(risc16_desc):
     sim = XSim(risc16_desc)
     program = Assembler(risc16_desc).assemble("add r1, r2, #7\nhalt\n")

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro import cache as cache_module
 from repro.arch import description_for
 from repro.cache import ArtifactCache, kernel_fingerprint
 from repro.codegen import KernelBuilder, Opcode
@@ -137,6 +138,31 @@ def test_disk_layer_survives_new_cache(tmp_path):
     value = second.get_or_build("evaluation", ("fp", "k"), must_not_build)
     assert value == {"cycles": 99}
     assert second.stats.disk_hits == 1
+
+
+def test_disk_entries_are_keyed_by_schema_version(tmp_path, monkeypatch):
+    disk = str(tmp_path / "artifacts")
+    current = cache_module.DISK_SCHEMA_VERSION
+    monkeypatch.setattr(cache_module, "DISK_SCHEMA_VERSION", current + 1)
+    ArtifactCache(disk_path=disk).get_or_build(
+        "evaluation", ("fp", "k"), lambda: "other version"
+    )
+    monkeypatch.setattr(cache_module, "DISK_SCHEMA_VERSION", current)
+
+    # written under another schema version: a miss, rebuilt and saved
+    stale = ArtifactCache(disk_path=disk)
+    value = stale.get_or_build("evaluation", ("fp", "k"), lambda: "current")
+    assert value == "current"
+    assert stale.stats.disk_hits == 0
+
+    # written under the current version: served from disk
+    def must_not_build():
+        raise AssertionError("disk layer should have served this")
+
+    fresh = ArtifactCache(disk_path=disk)
+    value = fresh.get_or_build("evaluation", ("fp", "k"), must_not_build)
+    assert value == "current"
+    assert fresh.stats.disk_hits == 1
 
 
 def test_disk_layer_ignores_unpicklable_kinds(tmp_path):
