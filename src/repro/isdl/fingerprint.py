@@ -11,8 +11,7 @@ parsed from a file, built by :mod:`repro.arch`, or derived by an
 exploration transform.
 
 Beyond the whole-document digest (the *root*, which remains the identity
-key for cache lookups, serve coalescing, and cluster routing), this module
-computes a fingerprint *tree*: one digest per description unit — each
+key for cache lookups and serve coalescing), this module computes a fingerprint *tree*: one digest per description unit — each
 token, non-terminal, storage, alias, and operation, plus the format,
 constraint, and attribute sections — taken over the canonical printer's
 per-unit fragments.  Two trees diff in one dictionary pass

@@ -36,7 +36,6 @@ from .jobs import (
     JobState,
     QueueFullError,
     ServiceUnavailableError,
-    shard_of_job_id,
 )
 from .journal import JobJournal
 from .service import (
@@ -63,5 +62,4 @@ __all__ = [
     "UnknownJobError",
     "make_server",
     "serve_in_thread",
-    "shard_of_job_id",
 ]

@@ -3,12 +3,17 @@
 Three subcommands::
 
     repro-serve serve  --port 8651 --workers 4        # run the daemon
+                 [--data-dir PATH]                # keep a job journal
     repro-serve submit --url http://127.0.0.1:8651 \\
                  --arch spam2 --workload sum:40 --wait
     repro-serve status --url http://127.0.0.1:8651 [JOB_ID]
 
 ``serve`` blocks until SIGINT/SIGTERM, then drains gracefully:
 in-flight evaluations finish, queued jobs are reported as cancelled.
+With ``--data-dir`` it journals every accepted job to
+``PATH/journal.jsonl`` and replays the journal on start, so a restart on
+the same directory still answers for finished jobs and re-runs the
+unfinished ones under their original ids.
 
 ``submit`` exit codes: 0 job succeeded (or accepted with ``--no-wait``),
 1 failed/cancelled, 2 rejected by the admission gate (the ISDLxxx
@@ -44,6 +49,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-entries", type=int, default=2048)
     serve.add_argument("--cache-disk", metavar="PATH", default=None,
                        help="persistent disk layer for the artifact cache")
+    serve.add_argument("--data-dir", metavar="PATH", default=None,
+                       help="keep a job journal here and replay it on"
+                            " start, so accepted jobs survive a crash")
     serve.add_argument("--max-attempts", type=int, default=3)
     serve.add_argument("--default-timeout", type=float, default=60.0,
                        metavar="SECONDS")
@@ -133,6 +141,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         default_timeout_s=args.default_timeout,
         coalesce=not args.no_coalesce,
         static_check=not args.no_static_check,
+        data_dir=args.data_dir,
     )
     service = EvaluationService(config)
     server = make_server(service, args.host, args.port)

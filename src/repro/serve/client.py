@@ -37,7 +37,7 @@ def _retry_after_s(headers: Dict[str, str]) -> Optional[float]:
     """Seconds from a ``Retry-After`` header, or None (absent/unusable).
 
     Only the delta-seconds form is parsed; the HTTP-date form (which
-    neither the service nor the router emits) is ignored.
+    the service never emits) is ignored.
     """
     for name, value in headers.items():
         if name.lower() == "retry-after":
@@ -88,12 +88,10 @@ class ServeClient:
         as a ``rejected`` record with an SRV402 diagnostic.  Without
         them the payload goes over the wire untouched.
 
-        A ``Retry-After`` header on the answer overrides the local
-        backoff schedule (the server knows its own drain rate better
-        than our doubling guess).  A **503 that carries Retry-After** —
-        a cluster router with every shard down — is retried on the same
-        budget; a bare 503 (a single node draining for shutdown) still
-        raises immediately, as it always has.
+        A ``Retry-After`` header on a 429 overrides the local backoff
+        schedule (the server knows its own drain rate better than our
+        doubling guess).  A 503 — the service draining for shutdown —
+        raises at once without a retry.
 
         Returns the job record for accepted, coalesced, *and* rejected
         submissions (check ``record["state"]``).
@@ -116,10 +114,8 @@ class ServeClient:
             )
             if status in (202, 422):
                 return answer
-            retry_after = _retry_after_s(headers)
-            retryable = status == 429 or (status == 503
-                                          and retry_after is not None)
-            if retryable and attempt < max_retries:
+            if status == 429 and attempt < max_retries:
+                retry_after = _retry_after_s(headers)
                 time.sleep(retry_after if retry_after is not None
                            else delay)
                 delay *= 2
@@ -127,12 +123,6 @@ class ServeClient:
             if status == 429:
                 raise BackpressureError(
                     f"service still overloaded after"
-                    f" {max_retries} retries: {answer.get('error')}",
-                    status=status, payload=answer,
-                )
-            if retryable:
-                raise BackpressureError(
-                    f"service still unavailable after"
                     f" {max_retries} retries: {answer.get('error')}",
                     status=status, payload=answer,
                 )
@@ -176,28 +166,16 @@ class ServeClient:
         Each sleep is jittered by ±*jitter* (default 20%) so a burst of
         clients created together — an exploration fan-out, a CI sweep —
         desynchronises instead of polling the service in lockstep.
-
-        A 503 on the status lookup is transient here: a cluster router
-        answers 503 for a job whose shard just died, until its monitor
-        flips the shard down and requeues the work.  The poll keeps
-        going — the deadline already bounds how long that can last.
         """
         deadline = time.monotonic() + timeout
         delay = poll_initial_s
         while True:
-            try:
-                record = self.job(job_id)
-            except ServeClientError as exc:
-                if exc.status != 503:
-                    raise
-                record = None
-            if record is not None and record["state"] in TERMINAL_STATES:
+            record = self.job(job_id)
+            if record["state"] in TERMINAL_STATES:
                 return record
             if time.monotonic() >= deadline:
-                state = (record["state"] if record is not None
-                         else "unreachable")
                 raise TimeoutError(
-                    f"job {job_id} still {state!r}"
+                    f"job {job_id} still {record['state']!r}"
                     f" after {timeout:.1f}s"
                 )
             pause = delay

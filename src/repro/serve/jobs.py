@@ -52,7 +52,6 @@ __all__ = [
     "QueueFullError",
     "ServiceUnavailableError",
     "new_job_id",
-    "shard_of_job_id",
 ]
 
 
@@ -85,21 +84,9 @@ _TERMINAL = frozenset(
 )
 
 
-def new_job_id(shard: Optional[str] = None) -> str:
-    """A short, URL-safe, collision-resistant job identifier.
-
-    With *shard* the id is prefixed ``<shard>-<hex>`` so a cluster router
-    can route ``GET /v1/jobs/<id>`` to the shard that owns the record
-    without any shared state (see :mod:`repro.cluster`).
-    """
-    token = secrets.token_hex(8)
-    return f"{shard}-{token}" if shard else token
-
-
-def shard_of_job_id(job_id: str) -> Optional[str]:
-    """The shard prefix of a shard-aware job id (None for plain ids)."""
-    prefix, sep, rest = job_id.rpartition("-")
-    return prefix if sep and rest else None
+def new_job_id() -> str:
+    """A short, URL-safe, collision-resistant job identifier."""
+    return secrets.token_hex(8)
 
 
 @dataclass

@@ -142,16 +142,10 @@ class ServiceConfig:
     #: (``journal.jsonl``) records admissions/transitions/results and is
     #: replayed on start so accepted jobs survive a crash
     data_dir: Optional[str] = None
-    #: shard identity in a cluster: job ids become ``<shard>-<hex>`` so a
-    #: router can route status lookups without shared state
-    shard_id: Optional[str] = None
     #: fsync the journal on every append (machine-crash durability)
     journal_fsync: bool = False
     #: terminal records kept across a startup journal compaction
     journal_keep_terminal: int = 512
-    #: guard disk-cache builds with a cross-process lock/lease so
-    #: co-located shards sharing a disk path never duplicate a build
-    cache_lease: bool = False
 
 
 class EvaluationService:
@@ -170,7 +164,6 @@ class EvaluationService:
         self.cache = cache if cache is not None else ArtifactCache(
             max_entries=self.config.cache_entries,
             disk_path=self.config.disk_path,
-            lease=self.config.cache_lease,
         )
         self.journal: Optional[JobJournal] = None
         if self.config.data_dir:
@@ -474,7 +467,7 @@ class EvaluationService:
                 # without the field keep the exact historical key shape
                 key = key + (tech.cache_key,)
         return Job(
-            id=job_id or new_job_id(self.config.shard_id),
+            id=job_id or new_job_id(),
             desc=desc, label=label, workloads=workloads,
             kernels=kernels, weights=weights, backend=backend,
             max_steps=max_steps, priority=priority, timeout_s=timeout_s,

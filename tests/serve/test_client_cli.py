@@ -3,9 +3,11 @@
 import json
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
+from repro.serve import client as client_module
 from repro.serve import (
     BackpressureError,
     EvaluationService,
@@ -124,6 +126,39 @@ def test_backpressure_retries_then_raises():
     finally:
         block.set()
         server.shutdown_service(drain=False, timeout=2.0)
+
+
+def test_submit_to_a_draining_service_raises_503_at_once(monkeypatch):
+    service = EvaluationService(
+        ServiceConfig(workers=1, static_check=False),
+        evaluate_fn=instant_eval,
+    )
+    server, thread = serve_in_thread(service)
+    try:
+        service.shutdown(drain=True, timeout=10.0)
+        client = ServeClient(server.url)
+        requests = []
+        send = client._request
+
+        def counted(*args, **kwargs):
+            requests.append(args)
+            return send(*args, **kwargs)
+
+        def no_sleep(seconds):
+            raise AssertionError(f"submit slept {seconds}s on a 503")
+
+        monkeypatch.setattr(client, "_request", counted)
+        monkeypatch.setattr(client_module, "time",
+                            SimpleNamespace(sleep=no_sleep))
+        with pytest.raises(ServeClientError) as info:
+            client.submit(payload())
+        assert info.value.status == 503
+        assert not isinstance(info.value, BackpressureError)
+        assert "draining" in info.value.payload["error"]
+        assert len(requests) == 1
+    finally:
+        server.shutdown()
+        thread.join(timeout=10)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.serve.jobs import (
     QueueFullError,
     ServiceUnavailableError,
     new_job_id,
-    shard_of_job_id,
 )
 
 WEIGHTS = CostWeights(1.0, 0.35, 0.25)
@@ -186,13 +185,6 @@ def test_job_state_terminality():
 
 def test_job_ids_are_unique():
     assert len({new_job_id() for _ in range(100)}) == 100
-
-
-def test_shard_scoped_job_ids_round_trip():
-    job_id = new_job_id("s3")
-    assert job_id.startswith("s3-")
-    assert shard_of_job_id(job_id) == "s3"
-    assert shard_of_job_id(new_job_id()) is None
 
 
 def test_config_key_ignores_priority_and_timeout():

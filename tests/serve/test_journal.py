@@ -102,7 +102,7 @@ def test_compact_keeps_only_recent_terminal_records(tmp_path):
 
 def service_config(tmp_path, **overrides):
     config = dict(workers=2, static_check=False, batch_size=1,
-                  data_dir=str(tmp_path / "shard"), shard_id="s0")
+                  data_dir=str(tmp_path / "data"))
     config.update(overrides)
     return ServiceConfig(**config)
 
@@ -111,7 +111,6 @@ def test_terminal_jobs_resolve_after_restart(tmp_path):
     first = EvaluationService(service_config(tmp_path),
                               evaluate_fn=instant_eval).start()
     job_id = first.submit(payload()).id
-    assert job_id.startswith("s0-")
     assert first.wait(job_id, timeout=10.0).state.value == "succeeded"
     first.shutdown(drain=True, timeout=5.0)
 
@@ -131,7 +130,8 @@ def test_live_jobs_replay_with_their_original_ids(tmp_path):
     under the same id on the next start."""
     config = service_config(tmp_path)
     first = EvaluationService(config, evaluate_fn=instant_eval)
-    # simulate a crash: journal an admission, never process it
+    # simulate a crash: journal an admission, never process it.  Ids are
+    # opaque, so the shard-prefixed ids older releases wrote replay too
     first.journal.admit("s0-deadbeef00000000", payload())
     first.journal.close()
 

@@ -1,7 +1,6 @@
 """Tests for the content-addressed artifact cache and ISDL fingerprints."""
 
 import os
-import time
 
 import pytest
 
@@ -336,101 +335,3 @@ def test_concurrent_disk_writers_never_corrupt_an_entry(tmp_path):
         == value
     assert fresh.stats.disk_errors == 0
     assert all(c.stats.disk_errors == 0 for c in caches)
-
-
-# ----------------------------------------------------------------------
-# Cross-process build leases
-# ----------------------------------------------------------------------
-
-
-def lease_cache(tmp_path, **kwargs):
-    kwargs.setdefault("lease", True)
-    kwargs.setdefault("lease_timeout_s", 2.0)
-    kwargs.setdefault("lease_poll_s", 0.01)
-    return ArtifactCache(disk_path=str(tmp_path / "artifacts"), **kwargs)
-
-
-def test_lease_holder_builds_and_publishes(tmp_path):
-    cache = lease_cache(tmp_path)
-    value = cache.get_or_build("evaluation", "k", lambda: {"n": 1})
-    assert value == {"n": 1}
-    # the lease file is gone and the artifact is on disk
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    assert not os.path.exists(lease_path)
-    fresh = lease_cache(tmp_path)
-    assert fresh.get_or_build("evaluation", "k", lambda: None) == {"n": 1}
-
-
-def test_waiter_picks_up_published_artifact_without_building(tmp_path):
-    """While another live process holds the lease, a waiter polls the
-    disk and returns the published artifact — its own builder never
-    runs."""
-    import threading
-
-    cache = lease_cache(tmp_path)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    # a live "other process" (this one, so the pid probe passes) holds
-    # the lease; it publishes the artifact shortly after we start waiting
-    assert cache._lease_acquire(lease_path) is None
-
-    def publish():
-        time.sleep(0.08)
-        cache._disk_save("evaluation", "k", {"built": "elsewhere"})
-        cache._lease_release(lease_path)
-
-    waiter = lease_cache(tmp_path)
-    publisher = threading.Thread(target=publish)
-    publisher.start()
-
-    def must_not_build():
-        raise AssertionError("the waiter must serve the published value")
-
-    try:
-        value = waiter.get_or_build("evaluation", "k", must_not_build)
-    finally:
-        publisher.join()
-    assert value == {"built": "elsewhere"}
-    assert waiter.stats.lease_waits == 1
-
-
-def test_stale_lease_of_a_dead_pid_is_broken(tmp_path):
-    import json as json_mod
-
-    cache = lease_cache(tmp_path)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    os.makedirs(os.path.dirname(lease_path), exist_ok=True)
-    # a lease from a process that no longer exists, not yet expired
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json_mod.dump({"pid": 2 ** 22 + 12345,
-                       "expires": time.time() + 600.0}, handle)
-    value = cache.get_or_build("evaluation", "k", lambda: {"n": 7})
-    assert value == {"n": 7}
-    assert cache.stats.lease_breaks >= 1
-    assert not os.path.exists(lease_path)
-
-
-def test_expired_lease_is_broken(tmp_path):
-    import json as json_mod
-
-    cache = lease_cache(tmp_path)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    os.makedirs(os.path.dirname(lease_path), exist_ok=True)
-    with open(lease_path, "w", encoding="utf-8") as handle:
-        json_mod.dump({"pid": os.getpid(),
-                       "expires": time.time() - 1.0}, handle)
-    assert cache.get_or_build("evaluation", "k", lambda: 3) == 3
-    assert cache.stats.lease_breaks >= 1
-
-
-def test_lease_wait_budget_degrades_to_a_local_build(tmp_path):
-    """A holder that never publishes cannot wedge a waiter: past the
-    timeout the waiter builds locally (a duplicate build, not a hang)."""
-    cache = lease_cache(tmp_path, lease_timeout_s=0.15)
-    lease_path = cache._disk_file("evaluation", "k") + ".lease"
-    assert cache._lease_acquire(lease_path) is None  # held, never freed
-    waiter = lease_cache(tmp_path, lease_timeout_s=0.15)
-    begun = time.monotonic()
-    value = waiter.get_or_build("evaluation", "k", lambda: {"n": 9})
-    assert value == {"n": 9}
-    assert time.monotonic() - begun < 2.0
-    cache._lease_release(lease_path)
