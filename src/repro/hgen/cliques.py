@@ -20,8 +20,8 @@ cliques to the whole-graph scan at a fraction of the O(n^2)-pairs-per-round
 cost.  Components also give incremental synthesis its reuse unit: a
 component's greedy result depends only on its relabelled local structure,
 so :func:`component_key` digests that structure and
-:func:`clique_partition` accepts a ``reuse`` mapping of previously computed
-per-component partitions (see :mod:`repro.hgen.synthesize`).
+:func:`partition_components` accepts a ``reuse`` mapping of previously
+computed per-component partitions (see :mod:`repro.hgen.synthesize`).
 """
 
 from __future__ import annotations
@@ -72,40 +72,66 @@ def component_key(local_adjacency: Sequence[Set[int]]) -> str:
     return h.hexdigest()
 
 
+def _bits(mask: int) -> List[int]:
+    """The set bits of *mask*, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
 def _greedy_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
-    """Tseng–Siewiorek greedy on one (typically connected) graph."""
+    """Tseng–Siewiorek greedy on one (typically connected) graph.
+
+    Each round merges the first pair ``(a, b)``, ``a < b``, in ascending
+    order with the most common neighbours.  Vertex sets are int bitsets:
+    a super-node is named by its lowest member, so a valid partner ``b``
+    (one of its own members) must lie in ``common[a]``; scanning only the
+    alive bits of ``common[a]`` above ``a`` visits the valid pairs in the
+    same order as scanning every alive pair.
+    """
     n = len(adjacency)
-    # Super-node state: members and the set of vertices adjacent to *all*
+    # Super-node state: members and the vertices adjacent to *all*
     # members (candidates for joining the clique).
-    members: List[List[int]] = [[i] for i in range(n)]
-    common: List[Set[int]] = [set(neigh) for neigh in adjacency]
-    alive: Set[int] = set(range(n))
+    members = [1 << i for i in range(n)]
+    common = [sum(1 << w for w in neigh) for neigh in adjacency]
+    alive = (1 << n) - 1
 
     while True:
         best = None
         best_gain = -1
-        alive_list = sorted(alive)
-        for ai, a in enumerate(alive_list):
-            for b in alive_list[ai + 1 :]:
-                # b's members must all be common neighbours of a's clique.
-                if not set(members[b]) <= common[a]:
+        later = alive
+        while later:
+            low = later & -later
+            later ^= low
+            a = low.bit_length() - 1
+            common_a = common[a]
+            partners = common_a & later
+            # the gain is at most |common[a]|; only a larger one wins
+            if not partners or common_a.bit_count() <= best_gain:
+                continue
+            members_a = members[a]
+            while partners:
+                bit = partners & -partners
+                partners ^= bit
+                b = bit.bit_length() - 1
+                common_b = common[b]
+                # each side's members must be common neighbours of the other
+                if members[b] & ~common_a or members_a & ~common_b:
                     continue
-                if not set(members[a]) <= common[b]:
-                    continue
-                gain = len(common[a] & common[b])
+                gain = (common_a & common_b).bit_count()
                 if gain > best_gain:
                     best_gain = gain
                     best = (a, b)
         if best is None:
             break
         a, b = best
-        members[a] = sorted(members[a] + members[b])
-        common[a] = common[a] & common[b]
-        common[a] -= set(members[a])
-        alive.discard(b)
-    return sorted(
-        (sorted(members[a]) for a in alive), key=lambda clique: clique[0]
-    )
+        members[a] |= members[b]
+        common[a] &= common[b] & ~members[a]
+        alive ^= 1 << b
+    return [_bits(members[a]) for a in _bits(alive)]
 
 
 def partition_components(

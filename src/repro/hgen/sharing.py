@@ -61,6 +61,13 @@ class SharingAnalysis:
         self.nodes = list(nodes)
         self.use_constraints = use_constraints
         self._exclusion_cache: Dict[Tuple, bool] = {}
+        # node indices by unit class, then by owner (rule 2's buckets)
+        self._groups: Dict[str, Dict[Tuple, List[int]]] = {}
+        for index, node in enumerate(self.nodes):
+            self._groups.setdefault(node.unit_class, {}).setdefault(
+                node.node_id.owner, []
+            ).append(index)
+        self._rows: Dict[Tuple[str, Tuple], FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # Mutual exclusion of owners (rules 1, 3, 4)
@@ -93,6 +100,9 @@ class SharingAnalysis:
         # Rule 4: different fields — parallel unless constraints forbid.
         if not self.use_constraints:
             return False
+        if len(owner_a) > 2 or len(owner_b) > 2:
+            # across fields only the two operations matter: share their memo
+            return self.owners_exclusive(owner_a[:2], owner_b[:2])
         selected = {field_a: op_a, field_b: op_b}
         return not self.desc.instruction_valid(selected)
 
@@ -122,15 +132,32 @@ class SharingAnalysis:
 
     def adjacency(self) -> List[Set[int]]:
         """Adjacency sets of the compatibility graph (for the clique pass)."""
-        n = len(self.nodes)
-        adj: List[Set[int]] = [set() for _ in range(n)]
-        for i in range(n):
-            node_i = self.nodes[i]
-            for j in range(i + 1, n):
-                if self.compatible(node_i, self.nodes[j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
-        return adj
+        return [set(self.row(i)) for i in range(len(self.nodes))]
+
+    def row(self, index: int) -> FrozenSet[int]:
+        """Row *index* of :meth:`matrix`, as a set of node indices.
+
+        Computed per group instead of per pair: an entry depends only on
+        the two nodes' unit classes and owners (two nodes with one owner
+        are never exclusive, which also covers a node and itself), so
+        every node of one ``(class, owner)`` group has the same row.
+        """
+        node = self.nodes[index]
+        key = (node.unit_class, node.node_id.owner)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._group_row(*key)
+        return row
+
+    def _group_row(self, unit_class: str, owner: Tuple) -> FrozenSet[int]:
+        row: Set[int] = set()
+        for other_class, owners in self._groups.items():
+            if not classes_compatible(unit_class, other_class):
+                continue  # rule 2
+            for other_owner, indices in owners.items():
+                if self.owners_exclusive(owner, other_owner):
+                    row.update(indices)
+        return frozenset(row)
 
 
 @dataclass
@@ -188,11 +215,10 @@ def adjacency_incremental(
             copied += n - 1
         fresh = [i for i, pi in enumerate(stable) if pi is None]
         for i in fresh:
-            node_i = nodes[i]
-            for j in range(n):
-                if j != i and analysis.compatible(node_i, nodes[j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
+            row = analysis.row(i)
+            adj[i].update(row)
+            for j in row:
+                adj[j].add(i)
             computed += n - 1
         return adj, copied, computed
     for i in range(n):

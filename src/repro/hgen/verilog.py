@@ -355,6 +355,11 @@ class _Emitter:
 
 
 def _ident(name: str) -> str:
+    # most names are already legal: str.isalnum holds iff every character
+    # does, the same test the rewrite below applies per character
+    stripped = name.replace("_", "")
+    if not stripped or stripped.isalnum():
+        return name
     return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
 
 

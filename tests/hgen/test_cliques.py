@@ -1,9 +1,51 @@
 """Tests (incl. property-based) for clique partitioning."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hgen.cliques import clique_partition, verify_cliques
+from repro.hgen.cliques import (
+    _greedy_partition,
+    clique_partition,
+    partition_components,
+    verify_cliques,
+)
+
+
+def reference_greedy(adjacency):
+    """The set-based Tseng–Siewiorek greedy that ``_greedy_partition``
+    replaced: every round rescans every pair of alive super-nodes, and
+    the first pair with the most common neighbours merges."""
+    n = len(adjacency)
+    members = [[i] for i in range(n)]
+    common = [set(neigh) for neigh in adjacency]
+    alive = set(range(n))
+    while True:
+        best = None
+        best_gain = -1
+        alive_list = sorted(alive)
+        for ai, a in enumerate(alive_list):
+            for b in alive_list[ai + 1 :]:
+                # b's members must all be common neighbours of a's clique.
+                if not set(members[b]) <= common[a]:
+                    continue
+                if not set(members[a]) <= common[b]:
+                    continue
+                gain = len(common[a] & common[b])
+                if gain > best_gain:
+                    best_gain = gain
+                    best = (a, b)
+        if best is None:
+            break
+        a, b = best
+        members[a] = sorted(members[a] + members[b])
+        common[a] = common[a] & common[b]
+        common[a] -= set(members[a])
+        alive.discard(b)
+    return sorted(
+        (sorted(members[a]) for a in alive), key=lambda clique: clique[0]
+    )
 
 
 def adjacency_from_edges(n, edges):
@@ -110,8 +152,6 @@ def test_verify_rejects_missing_vertex():
 # Component-wise partitioning (the incremental-synthesis substrate)
 # ----------------------------------------------------------------------
 
-from repro.hgen.cliques import _greedy_partition, partition_components
-
 
 @settings(max_examples=100, deadline=None)
 @given(graphs)
@@ -165,3 +205,40 @@ def test_reuse_map_from_mutated_parent_only_recomputes_changed_component():
     cliques, _keys, reused, fresh = partition_components(child, reuse=keys)
     assert cliques == [[0, 1, 2], [3, 4, 5]]
     assert reused >= 1  # the untouched triangle was adopted
+
+
+# ----------------------------------------------------------------------
+# The bitset greedy against the set-based reference
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def sized_graphs(draw, max_n=48):
+    """Graphs of up to *max_n* vertices, from empty through complete."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    density = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 0.7, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < density]
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_graphs(), st.integers(0, 2**32 - 1))
+def test_bitset_greedy_equals_set_reference(graph, seed):
+    n, edges = graph
+    adj = adjacency_from_edges(n, edges)
+    expected = reference_greedy(adj)
+    assert _greedy_partition(adj) == expected
+    cold, keys, _reused, _fresh = partition_components(adj)
+    assert cold == expected
+    # reuse from the graph itself, and from a parent one edge away
+    assert partition_components(adj, reuse=keys)[0] == expected
+    rng = random.Random(seed)
+    parent_edges = set(edges)
+    if n > 1:
+        parent_edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
+    _c, parent_keys, _r, _f = partition_components(
+        adjacency_from_edges(n, parent_edges)
+    )
+    assert partition_components(adj, reuse=parent_keys)[0] == expected

@@ -106,9 +106,17 @@ def test_synthesis_emits_stage_spans(spam2_desc):
     synthesize(spam2_desc)
     stages = obs.tracer().stage_names()
     for expected in ("hgen.synthesize", "hgen.nodes", "hgen.sharing",
-                     "hgen.datapath", "hgen.verilog", "hgen.estimate"):
+                     "hgen.matrix", "hgen.cliques", "hgen.datapath",
+                     "hgen.verilog", "hgen.estimate"):
         assert expected in stages
     assert obs.registry().snapshot().counters["hgen.syntheses"] == 1
+    # the sharing pass splits into its two halves, one level below it
+    depth = {r.name: r.depth for r in obs.tracer().finished()}
+    assert depth["hgen.matrix"] == depth["hgen.sharing"] + 1
+    assert depth["hgen.cliques"] == depth["hgen.sharing"] + 1
+    order = [r.name for r in obs.tracer().finished()]
+    assert (order.index("hgen.matrix") < order.index("hgen.cliques")
+            < order.index("hgen.sharing"))
 
 
 def test_synthesis_does_not_recheck_its_input(spam2_desc):
