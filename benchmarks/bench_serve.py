@@ -42,8 +42,7 @@ MAX_STEPS = 200_000
 
 
 def _service_config(**overrides):
-    base = dict(workers=4, max_queue_depth=64, static_check=False,
-                batch_size=1)
+    base = dict(workers=4, max_queue_depth=64, static_check=False)
     base.update(overrides)
     return ServiceConfig(**base)
 

@@ -73,8 +73,7 @@ class Evaluation:
     per_kernel_cycles: Dict[str, int] = field(default_factory=dict)
     weights: Optional[CostWeights] = None
     fingerprint: str = ""
-    # Technology axis (None/False on baseline evaluations; readers must
-    # getattr() these — pre-tech pickled instances lack the attributes).
+    # Technology axis (None/False on baseline evaluations).
     tech_node: Optional[int] = None
     tech_flavor: Optional[str] = None
     vdd: Optional[float] = None
@@ -92,11 +91,10 @@ class Evaluation:
     @property
     def tech_spec(self) -> Optional[TechSpec]:
         """The technology this candidate was evaluated in, if any."""
-        node = getattr(self, "tech_node", None)
-        if node is None:
+        if self.tech_node is None:
             return None
-        return TechSpec(node, getattr(self, "tech_flavor", None) or "HP",
-                        getattr(self, "budget_mw", None))
+        return TechSpec(self.tech_node, self.tech_flavor or "HP",
+                        self.budget_mw)
 
     def cost(self, weights: Optional[CostWeights] = None) -> float:
         weights = weights or self.weights or CostWeights()
@@ -115,7 +113,7 @@ class Evaluation:
         suffix = ""
         if spec is not None:
             suffix = f" [{spec.suffix()[1:]}"
-            if getattr(self, "power_capped", False):
+            if self.power_capped:
                 suffix += ", capped"
             suffix += "]"
         return (
@@ -361,7 +359,7 @@ def _evaluate_uncached(
             budget_mw=tech.budget_mw if tech is not None else None,
         )
     cycle_ns = model.cycle_ns
-    if getattr(power, "capped", False) and power.frequency_mhz > 0:
+    if power.capped and power.frequency_mhz > 0:
         # dark-silicon capping slows the clock below the timing-closure
         # cycle; runtime must be charged at the operating point's clock
         cycle_ns = 1000.0 / power.frequency_mhz

@@ -18,11 +18,11 @@ pool while keeping the three properties a search loop needs:
   iterations (or whole re-runs of a sweep) are lookups, whatever pool
   mode produced them first.
 
-Pool modes: ``"process"`` (true parallelism; candidates and results
-cross the boundary by pickling), ``"thread"`` (shares the cache during
-the run; GIL-bound but dependency-free), ``"serial"`` (the seed
-behaviour), and ``"auto"`` (processes when the platform supports them,
-falling back to threads, and straight-line execution for tiny batches).
+Modes: ``"process"`` (true parallelism; candidates and results cross
+the boundary by pickling), ``"serial"`` (the seed behaviour; never
+creates a pool), and ``"auto"`` (processes when the platform supports
+them, straight-line execution for tiny batches or where
+``multiprocessing`` cannot start).
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class ParallelEvaluator:
         memoize: bool = True,
         tech: Optional[TechSpec] = None,
     ):
-        if mode not in ("auto", "process", "thread", "serial"):
+        if mode not in ("auto", "process", "serial"):
             raise ValueError(f"unknown evaluator mode {mode!r}")
         self.kernels = list(kernels)
         self.weights = weights
@@ -182,7 +182,6 @@ class ParallelEvaluator:
         #: (artifact-level caches still apply); see explore.metrics.evaluate
         self.memoize = memoize
         self._pool = None
-        self._pool_kind: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Public API
@@ -202,8 +201,7 @@ class ParallelEvaluator:
 
     def _tech_for(self, request: EvalRequest) -> Optional[TechSpec]:
         """The request's tech axis, falling back to the evaluator's."""
-        tech = getattr(request, "tech", None)
-        return tech if tech is not None else self.tech
+        return request.tech if request.tech is not None else self.tech
 
     def evaluate_many(
         self, requests: Sequence[EvalRequest]
@@ -227,8 +225,6 @@ class ParallelEvaluator:
         if mode == "serial":
             for index, request in jobs:
                 results[index] = self._evaluate_inline(index, request)
-        elif mode == "thread":
-            self._run_threads(jobs, results)
         else:
             self._run_processes(jobs, results)
         return results  # type: ignore[return-value]
@@ -238,7 +234,6 @@ class ParallelEvaluator:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-            self._pool_kind = None
 
     def __enter__(self) -> "ParallelEvaluator":
         return self
@@ -266,8 +261,8 @@ class ParallelEvaluator:
 
             multiprocessing.get_context()
             return "process"
-        except (ImportError, OSError):  # pragma: no cover - exotic hosts
-            return "thread"
+        except (ImportError, OSError):  # hosts without process support
+            return "serial"
 
     def _static_probe(self, index: int,
                       request: EvalRequest) -> Optional[EvalResult]:
@@ -345,18 +340,9 @@ class ParallelEvaluator:
         return EvalResult(index, label, request.derived_by,
                           evaluation=evaluation, obs=cap.snapshot)
 
-    def _run_threads(self, jobs, results) -> None:
-        pool = self._ensure_pool("thread")
-        futures = {
-            pool.submit(self._evaluate_inline, index, request): index
-            for index, request in jobs
-        }
-        for future, index in futures.items():
-            results[index] = future.result()
-
     def _run_processes(self, jobs, results) -> None:
         try:
-            pool = self._ensure_pool("process")
+            pool = self._ensure_pool()
             futures = []
             for index, request in jobs:
                 label = request.display_label
@@ -417,18 +403,8 @@ class ParallelEvaluator:
                              tech=self._tech_for(request))
         return self.cache.evaluation(key, lambda: evaluation)
 
-    def _ensure_pool(self, kind: str):
-        if self._pool is not None and self._pool_kind == kind:
-            return self._pool
-        self.shutdown()
-        if kind == "thread":
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-eval",
-            )
-        else:
+    def _ensure_pool(self):
+        if self._pool is None:
             from concurrent.futures import ProcessPoolExecutor
 
             self._pool = ProcessPoolExecutor(
@@ -437,5 +413,4 @@ class ParallelEvaluator:
                 initargs=(self.kernels, self.max_steps, self.weights,
                           obs.enabled(), self.sim_backend, self.memoize),
             )
-        self._pool_kind = kind
         return self._pool

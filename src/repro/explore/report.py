@@ -39,26 +39,22 @@ def operating_point_table(evaluations: List[Evaluation]) -> str:
     One row per evaluation that carries a technology axis: node/flavor,
     supply voltage, clock, total power, the budget it was solved under,
     and whether the dark-silicon cap bound.  Evaluations without a tech
-    axis (including any unpickled from pre-tech caches) are skipped;
-    returns an empty string when none qualify.
+    axis are skipped; returns an empty string when none qualify.
     """
     rows = []
     for evaluation in evaluations:
-        node = getattr(evaluation, "tech_node", None)
-        if node is None or not evaluation.feasible:
+        if evaluation.tech_node is None or not evaluation.feasible:
             continue
-        flavor = getattr(evaluation, "tech_flavor", None) or "?"
-        vdd = getattr(evaluation, "vdd", None)
-        budget = getattr(evaluation, "budget_mw", None)
-        capped = getattr(evaluation, "power_capped", False)
+        vdd = evaluation.vdd
+        budget = evaluation.budget_mw
         rows.append((
             evaluation.name,
-            f"{node}{flavor}",
+            f"{evaluation.tech_node}{evaluation.tech_flavor or '?'}",
             f"{vdd:.2f}" if vdd is not None else "-",
             f"{evaluation.clock_mhz:.1f}",
             f"{evaluation.power_mw:.2f}",
             f"{budget:g}" if budget is not None else "-",
-            "capped" if capped else "",
+            "capped" if evaluation.power_capped else "",
         ))
     if not rows:
         return ""

@@ -11,8 +11,9 @@ export two ways:
   terminals and logs.
 
 Spans nest per thread (the active-span stack is thread-local), so a tracer
-shared by the thread-pool evaluation engine stays coherent: every span
-records the thread it ran on, which becomes the ``tid`` of its trace event.
+shared by the evaluation service's worker threads stays coherent: every
+span records the thread it ran on, which becomes the ``tid`` of its trace
+event.
 
 When a tracer is given a registry (or a zero-argument registry provider),
 every finished span also records its duration into the

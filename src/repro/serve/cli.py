@@ -29,6 +29,8 @@ import sys
 import threading
 from typing import List, Optional
 
+from .service import DEFAULT_BACKEND, DEFAULT_MAX_STEPS, KNOWN_BACKENDS
+
 __all__ = ["main"]
 
 
@@ -45,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4)
     serve.add_argument("--queue-depth", type=int, default=64,
                        help="backpressure bound on queued jobs")
-    serve.add_argument("--batch-size", type=int, default=4)
     serve.add_argument("--cache-entries", type=int, default=2048)
     serve.add_argument("--cache-disk", metavar="PATH", default=None,
                        help="persistent disk layer for the artifact cache")
@@ -75,12 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
                              " (repeatable; default sum)")
     submit.add_argument("--weights", default="1.0,0.35,0.25",
                         metavar="RT,AREA,POWER")
-    submit.add_argument("--backend", default="xsim",
-                        choices=("xsim", "block", "compiled"))
+    submit.add_argument("--backend", default=DEFAULT_BACKEND,
+                        choices=KNOWN_BACKENDS)
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument("--timeout", type=float, default=60.0,
                         help="per-job evaluation timeout (seconds)")
-    submit.add_argument("--max-steps", type=int, default=500_000)
+    submit.add_argument("--max-steps", type=int,
+                        default=DEFAULT_MAX_STEPS)
     submit.add_argument("--label", default=None)
     submit.add_argument("--strategy", default=None, metavar="NAME",
                         help="run an exploration from the description"
@@ -134,7 +136,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         workers=args.workers,
         max_queue_depth=args.queue_depth,
-        batch_size=args.batch_size,
         cache_entries=args.cache_entries,
         disk_path=args.cache_disk,
         max_attempts=args.max_attempts,

@@ -14,12 +14,11 @@ Coalesced followers never enter the queue at all: they reference their
 leader job and receive a copy of its terminal state (see
 :mod:`repro.serve.service`).
 
-:class:`JobQueue` is a heap-based priority queue with three properties
+:class:`JobQueue` is a heap-based priority queue with two properties
 the service needs and ``queue.PriorityQueue`` does not give us together:
 a hard depth bound that *raises* (:class:`QueueFullError` — the HTTP
-layer turns it into a 429) instead of blocking the acceptor thread,
-per-entry ``not_before`` delays for retry backoff, and a batch pop that
-groups ready jobs sharing an evaluator configuration.
+layer turns it into a 429) instead of blocking the acceptor thread, and
+per-entry ``not_before`` delays for retry backoff.
 
 Ready ordering is ``(-priority, seq)`` where ``seq`` is assigned on the
 *first* push and sticks to the job for life: a job that times out and is
@@ -144,18 +143,6 @@ class Job:
     def done(self) -> bool:
         return self.state.terminal
 
-    @property
-    def config_key(self) -> Tuple:
-        """What must match for two jobs to share one evaluator/batch."""
-        key = (self.workloads, (self.weights.runtime, self.weights.area,
-                                self.weights.power),
-               self.backend, self.max_steps)
-        if self.tech is not None:
-            # appended only when set: tech-free jobs keep the exact
-            # historical key shape (and batch exactly as before)
-            key = key + (self.tech.cache_key,)
-        return key
-
     def to_dict(self, full: bool = True) -> Dict[str, Any]:
         """The job's wire representation (JSON-serializable)."""
         if self.restored is not None:
@@ -224,21 +211,19 @@ def _evaluation_dict(evaluation: Evaluation,
         "per_kernel_cycles": dict(evaluation.per_kernel_cycles),
         "fingerprint": evaluation.fingerprint,
     }
-    # getattr: evaluations unpickled from pre-tech caches lack the fields
-    node = getattr(evaluation, "tech_node", None)
-    if node is not None:
+    if evaluation.tech_node is not None:
         record["tech"] = {
-            "node": node,
-            "flavor": getattr(evaluation, "tech_flavor", None),
-            "vdd": getattr(evaluation, "vdd", None),
-            "budget_mw": getattr(evaluation, "budget_mw", None),
-            "capped": getattr(evaluation, "power_capped", False),
+            "node": evaluation.tech_node,
+            "flavor": evaluation.tech_flavor,
+            "vdd": evaluation.vdd,
+            "budget_mw": evaluation.budget_mw,
+            "capped": evaluation.power_capped,
         }
     return record
 
 
 class JobQueue:
-    """Bounded priority queue with retry delays and config-batched pops.
+    """Bounded priority queue with retry delays.
 
     Two heaps: the *ready* heap is ordered ``(-priority, seq)`` — higher
     ``priority`` pops first, first-assigned ``seq`` first within a level —
@@ -296,54 +281,27 @@ class JobQueue:
             _, seq, job = heapq.heappop(self._delayed)
             heapq.heappush(self._ready, (-job.priority, seq, job))
 
-    def pop_batch(self, batch_size: int = 1,
-                  timeout: Optional[float] = None) -> Optional[List[Job]]:
-        """Block for the next ready job; greedily add up to
-        ``batch_size - 1`` more ready jobs sharing its ``config_key``.
-
-        Returns None when the queue was stopped and nothing ready remains
-        (or *timeout* elapsed).  Jobs with a different configuration stay
-        queued in order.
-        """
+    def pop(self, timeout: Optional[float] = None) -> Optional[Job]:
+        """Block for the next ready job, waiting out delays and empty
+        spells; None when the queue was stopped and nothing ready remains
+        (or *timeout* elapsed)."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            first = self._wait_for_ready(deadline)
-            if first is None:
-                return None
-            batch = [first]
-            skipped: List[Tuple[int, int, Job]] = []
-            self._promote(time.monotonic())
-            while len(batch) < batch_size and self._ready:
-                entry = heapq.heappop(self._ready)
-                if entry[2].config_key == first.config_key:
-                    batch.append(entry[2])
-                else:
-                    skipped.append(entry)
-            for entry in skipped:
-                heapq.heappush(self._ready, entry)
-            return batch
-
-    def _wait_for_ready(self, deadline: Optional[float]) -> Optional[Job]:
-        """Pop the first ready entry, waiting out delays and empty spells."""
-        while True:
-            now = time.monotonic()
-            self._promote(now)
-            if self._ready:
-                return heapq.heappop(self._ready)[2]
-            if self._stopped:
-                return None
-            if self._delayed:
-                wait: Optional[float] = self._delayed[0][0] - now
-            elif deadline is not None:
-                wait = deadline - now
-            else:
-                wait = None
-            if deadline is not None:
-                wait = min(wait, deadline - now) if wait is not None \
-                    else deadline - now
-                if wait <= 0:
+            while True:
+                now = time.monotonic()
+                self._promote(now)
+                if self._ready:
+                    return heapq.heappop(self._ready)[2]
+                if self._stopped:
                     return None
-            self._cond.wait(wait)
+                wait = self._delayed[0][0] - now if self._delayed else None
+                if deadline is not None:
+                    remaining = deadline - now
+                    if remaining <= 0:
+                        return None
+                    if wait is None or remaining < wait:
+                        wait = remaining
+                self._cond.wait(wait)
 
     def drain(self) -> List[Job]:
         """Stop the queue and return every still-queued job (any delay)."""

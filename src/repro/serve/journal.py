@@ -1,10 +1,9 @@
 """Durable job journal: accepted work survives a service crash.
 
 The journal is an append-only JSONL file (one JSON object per line)
-under the service's data directory recording three event kinds::
+under the service's data directory recording two event kinds::
 
     {"event": "admitted", "id": ..., "ts": ..., "payload": {...}}
-    {"event": "state",    "id": ..., "ts": ..., "state": "running", ...}
     {"event": "result",   "id": ..., "ts": ..., "record": {...}}
 
 ``admitted`` carries the submission payload verbatim (it arrived as JSON,
@@ -13,19 +12,21 @@ representation (``Job.to_dict``).  On startup :meth:`JobJournal.load`
 folds the log: a job with a ``result`` is *terminal* — its record is kept
 so clients can still resolve the id — and an ``admitted`` job without one
 is *live* and gets re-submitted by the service with its original id, so a
-queued or running job survives a SIGKILL mid-evaluation.
+queued or running job survives a SIGKILL mid-evaluation.  Any other
+event kind (older builds also wrote ``state`` transitions) is skipped.
 
-Durability model: every append is flushed to the OS (``fsync`` is opt-in
-via ``fsync=True`` — the default trades the last few events under a
-*machine* crash for not paying a disk sync per transition; a *process*
-crash loses nothing).  A truncated final line — the signature of a kill
-mid-append — is skipped on load, like the artifact cache treats a
-truncated pickle as a miss.
+Durability model: every append is flushed to the OS but not fsynced, so
+a *process* crash loses nothing and a *machine* crash may lose the last
+few events.  The admission append runs under the service lock, where a
+disk sync per append would serialize admissions.  A truncated final
+line — the signature of a kill mid-append — is skipped on load, like the
+artifact cache treats a truncated pickle as a miss.
 
 Compaction happens at load time: :meth:`compact` rewrites the file with
-only the most recent terminal records (atomic temp-file + ``os.replace``,
-same recipe as the cache's disk layer), so the journal stays proportional
-to the retained history instead of growing with every transition forever.
+only the most recent terminal records (fsynced temp file +
+``os.replace``, same recipe as the cache's disk layer), so the journal
+stays proportional to the retained history instead of growing with every
+job forever.
 """
 
 from __future__ import annotations
@@ -40,17 +41,15 @@ __all__ = ["JobJournal"]
 
 
 class JobJournal:
-    """Append-only JSONL journal of job admissions, states, and results.
+    """Append-only JSONL journal of job admissions and results.
 
     Thread-safe; all I/O is best-effort — a journal write failure never
     fails the job it describes (the in-memory service keeps working, the
     ``dropped`` counter records the gap).
     """
 
-    def __init__(self, path: str, fsync: bool = False,
-                 keep_terminal: int = 512):
+    def __init__(self, path: str, keep_terminal: int = 512):
         self.path = path
-        self.fsync = fsync
         #: terminal records retained across a compaction
         self.keep_terminal = keep_terminal
         #: appends that failed to serialize or reach the file
@@ -74,10 +73,6 @@ class JobJournal:
             event["coalesced_with"] = coalesced_with
         self._append(event)
 
-    def state(self, job_id: str, state: str, attempts: int = 0) -> None:
-        self._append({"event": "state", "id": job_id, "state": state,
-                      "attempts": attempts})
-
     def result(self, job_id: str, record: Dict[str, Any]) -> None:
         self._append({"event": "result", "id": job_id, "record": record})
 
@@ -94,8 +89,6 @@ class JobJournal:
                 handle = self._open()
                 handle.write(line + "\n")
                 handle.flush()
-                if self.fsync:
-                    os.fsync(handle.fileno())
             except OSError:
                 self.dropped += 1
 

@@ -4,10 +4,11 @@
 pipeline into a shared facility: clients submit candidate ISDL
 descriptions (plus workload/backend/weight configuration) as jobs, a
 persistent pool of worker threads measures them, and every request is
-served from one shared :class:`~repro.cache.ArtifactCache` and a small
-LRU of :class:`~repro.explore.ParallelEvaluator` configurations, so the
-caches and generated artifacts amortize across *all* clients instead of
-per process.
+served from one shared :class:`~repro.cache.ArtifactCache`, so generated
+artifacts amortize across *all* clients instead of per process.  A
+worker pops one job at a time and measures it through a serial
+:class:`~repro.explore.ParallelEvaluator` built for that job; the cache
+is the only warm state an evaluator has.
 
 The robustness machinery, in the order a submission meets it:
 
@@ -25,19 +26,14 @@ The robustness machinery, in the order a submission meets it:
    submissions raise :class:`~repro.serve.jobs.QueueFullError`, which
    the HTTP layer answers with 429 rather than queueing unboundedly.
 4. **Timeouts with bounded retry** — each evaluation attempt runs in an
-   abandonable thread; an attempt exceeding the job's ``timeout_s`` is
-   charged and the job re-queued with exponential backoff until
-   ``max_attempts``, after which it fails.  Batch-mates behind a timed
-   out job are re-queued without being charged an attempt — an accepted
-   job is never lost to a neighbour's timeout or a worker crash.
+   abandonable thread, which the worker joins with the job's
+   ``timeout_s``; an attempt exceeding it is charged and the job
+   re-queued with exponential backoff until ``max_attempts``, after
+   which it fails.  Jobs still queued behind it are never charged for
+   its stall.
 5. **Graceful drain** — :meth:`EvaluationService.shutdown` stops
    admissions, lets in-flight evaluations finish, and reports every
    still-queued job as ``cancelled``.
-
-Worker threads batch ready jobs that share an evaluator configuration
-(same workloads/weights/backend/max_steps, up to ``batch_size``), so a
-burst of related candidates reuses one evaluator and its warm caches
-back to back.
 
 Service-side metrics land in ``service.metrics`` (its own always-on
 :class:`~repro.obs.metrics.MetricsRegistry`, exported by ``GET
@@ -58,7 +54,6 @@ import os
 import threading
 import time
 import traceback
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -94,6 +89,10 @@ __all__ = [
 #: backends a job may name (see repro.gensim.simulator_for)
 KNOWN_BACKENDS = ("xsim", "block", "compiled")
 
+#: backend and step bound of a job whose payload names neither
+DEFAULT_BACKEND = "xsim"
+DEFAULT_MAX_STEPS = 500_000
+
 #: diagnostic code recorded when the submitted ISDL text does not parse
 CODE_PARSE_ERROR = "ISDL001"
 
@@ -123,27 +122,20 @@ class ServiceConfig:
 
     workers: int = 4
     max_queue_depth: int = 64
-    batch_size: int = 4
     coalesce: bool = True
     static_check: bool = True
     cache_entries: int = 2048
     disk_path: Optional[str] = None
-    default_backend: str = "xsim"
-    default_max_steps: int = 500_000
     default_timeout_s: float = 60.0
     max_attempts: int = 3
     retry_backoff_s: float = 0.05  # doubles per charged attempt
     #: False turns off whole-evaluation memoization (and is what the
     #: bench's no-dedup baseline measures); artifact caches stay shared
     share_evaluations: bool = True
-    #: bound on distinct evaluator configurations kept warm
-    max_evaluators: int = 32
     #: directory for durable state; when set, a job journal
-    #: (``journal.jsonl``) records admissions/transitions/results and is
+    #: (``journal.jsonl``) records admissions and results and is
     #: replayed on start so accepted jobs survive a crash
     data_dir: Optional[str] = None
-    #: fsync the journal on every append (machine-crash durability)
-    journal_fsync: bool = False
     #: terminal records kept across a startup journal compaction
     journal_keep_terminal: int = 512
 
@@ -170,7 +162,6 @@ class EvaluationService:
             os.makedirs(self.config.data_dir, exist_ok=True)
             self.journal = JobJournal(
                 os.path.join(self.config.data_dir, "journal.jsonl"),
-                fsync=self.config.journal_fsync,
                 keep_terminal=self.config.journal_keep_terminal,
             )
         self._replayed = False
@@ -181,8 +172,6 @@ class EvaluationService:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # submission order, for listings
         self._inflight: Dict[Tuple, Job] = {}
-        self._evaluators: "OrderedDict[Tuple, ParallelEvaluator]" = \
-            OrderedDict()
         self._lock = threading.RLock()
         self._done_cond = threading.Condition(self._lock)
         self._draining = False
@@ -228,11 +217,6 @@ class EvaluationService:
             deadline = time.monotonic() + timeout
             for thread in self._workers:
                 thread.join(max(0.0, deadline - time.monotonic()))
-        with self._lock:
-            evaluators = list(self._evaluators.values())
-            self._evaluators.clear()
-        for evaluator in evaluators:
-            evaluator.shutdown()
         if self.journal is not None:
             self.journal.close()
 
@@ -418,16 +402,14 @@ class EvaluationService:
         except (TypeError, ValueError):
             raise BadRequestError("'weights' values must be numbers") \
                 from None
-        backend = str(payload.get("backend",
-                                  self.config.default_backend))
+        backend = str(payload.get("backend", DEFAULT_BACKEND))
         if backend not in KNOWN_BACKENDS:
             raise BadRequestError(
                 f"unknown backend {backend!r}"
                 f" (available: {', '.join(KNOWN_BACKENDS)})"
             )
         try:
-            max_steps = int(payload.get("max_steps",
-                                        self.config.default_max_steps))
+            max_steps = int(payload.get("max_steps", DEFAULT_MAX_STEPS))
             priority = int(payload.get("priority", 0))
             timeout_s = float(payload.get("timeout_s",
                                           self.config.default_timeout_s))
@@ -626,104 +608,71 @@ class EvaluationService:
 
     def _worker_loop(self) -> None:
         while True:
-            batch = self.queue.pop_batch(self.config.batch_size)
-            if batch is None:
+            job = self.queue.pop()
+            if job is None:
                 return
             self._gauge("serve.queue_depth", len(self.queue))
             try:
-                self._run_batch(batch)
+                self._run_job(job)
             except Exception as exc:  # broad by design — pool must survive
                 self._count("serve.worker_errors")
-                message = f"internal worker error: {_format_error(exc)}"
-                for job in batch:
-                    if not job.done:
-                        self._finish(job, JobState.FAILED, error=message)
+                if not job.done:
+                    self._finish(job, JobState.FAILED,
+                                 error=f"internal worker error:"
+                                       f" {_format_error(exc)}")
 
-    def _run_batch(self, batch: List[Job]) -> None:
-        """Evaluate a same-configuration batch with per-job timeouts.
+    def _run_job(self, job: Job) -> None:
+        """One attempt at *job* on an abandonable thread, joined with the
+        job's deadline.
 
-        The attempt thread walks the batch in order; the monitor below
-        watches its progress and abandons it the moment the *current*
-        job exceeds its deadline.  Unstarted batch-mates go back to the
-        queue unchanged, so one stuck evaluation never takes its
-        neighbours down with it.
+        Python cannot kill a thread: an attempt still running at
+        ``timeout_s`` is abandoned, and whatever it returns later is
+        never read.
         """
-        started: Dict[str, float] = {}
-        done: Dict[str, Tuple[str, Any]] = {}
-        progressed = threading.Event()
-        abandoned = threading.Event()
+        with self._lock:
+            job.attempts += 1
+            if job.started_at is None:
+                job.started_at = time.time()
+            job.state = JobState.RUNNING
+        outcome: List[Tuple[str, Any]] = []
 
         def attempt() -> None:
-            for job in batch:
-                if abandoned.is_set():
-                    return
-                with self._lock:
-                    job.attempts += 1
-                    if job.started_at is None:
-                        job.started_at = time.time()
-                    self._set_state(job, JobState.RUNNING)
-                started[job.id] = time.monotonic()
-                progressed.set()
-                try:
-                    done[job.id] = ("ok", self._execute(job))
-                except Exception as exc:  # broad by design — failure capture
-                    done[job.id] = ("error", _format_error(exc))
-                progressed.set()
+            try:
+                outcome.append(("ok", self._execute(job)))
+            except Exception as exc:  # broad by design — failure capture
+                outcome.append(("error", _format_error(exc)))
 
         thread = threading.Thread(target=attempt, daemon=True,
                                   name="repro-serve-eval")
         thread.start()
-        for position, job in enumerate(batch):
-            verdict = self._await_job(thread, job, started, done,
-                                      progressed)
-            if verdict == "timeout":
-                abandoned.set()
-                self._handle_timeout(job)
-                self._requeue_rest(batch[position + 1:], started, done)
-                return
-            if verdict == "lost":  # attempt thread died without a record
-                abandoned.set()
-                self._count("serve.worker_errors")
-                self._requeue_job(job, delay=0.0)
-                self._requeue_rest(batch[position + 1:], started, done)
-                return
-            self._apply_result(job, done[job.id])
-
-    def _await_job(self, thread: threading.Thread, job: Job,
-                   started: Dict[str, float],
-                   done: Dict[str, Tuple[str, Any]],
-                   progressed: threading.Event) -> str:
-        """Wait until *job* has a result ("done"), blew its deadline
-        ("timeout"), or the attempt thread died on us ("lost")."""
-        while True:
-            if job.id in done:
-                return "done"
-            begun = started.get(job.id)
-            now = time.monotonic()
-            if begun is not None:
-                remaining = begun + job.timeout_s - now
-                if remaining <= 0:
-                    return "timeout"
-                wait = min(remaining, 0.25)
-            else:
-                if not thread.is_alive():
-                    return "lost" if job.id not in done else "done"
-                wait = 0.05
-            progressed.wait(wait)
-            progressed.clear()
-            if not thread.is_alive() and job.id not in done \
-                    and started.get(job.id) is not None:
-                return "lost"
+        thread.join(job.timeout_s)
+        if thread.is_alive():
+            self._handle_timeout(job)
+        elif outcome:
+            self._apply_result(job, outcome[0])
+        else:  # the attempt thread died without a record
+            self._count("serve.worker_errors")
+            self._requeue_job(job, delay=0.0)
 
     def _execute(self, job: Job) -> Tuple[Any, Optional[str], bool]:
         """One evaluation attempt → (evaluation, error, cached)."""
         if self._evaluate_fn is not None:
             self._count("serve.evaluations_run")
             return self._evaluate_fn(job), None, False
-        evaluator = self._evaluator_for(job)
+        evaluator = ParallelEvaluator(
+            list(job.kernels),
+            weights=job.weights,
+            cache=self.cache,
+            max_steps=job.max_steps,
+            mode="serial",
+            sim_backend=job.backend,
+            static_check=False,  # the admission gate already ran
+            memoize=self.config.share_evaluations,
+            tech=job.tech,
+        )
         if job.strategy is not None:
             return self._explore(job, evaluator)
-        request = EvalRequest(job.desc, label=job.label, tech=job.tech)
+        request = EvalRequest(job.desc, label=job.label)
         result = evaluator.evaluate_many([request])[0]
         if not result.cached:
             self._count("serve.evaluations_run")
@@ -731,7 +680,7 @@ class EvaluationService:
 
     def _explore(self, job: Job, evaluator: ParallelEvaluator
                  ) -> Tuple[Any, Optional[str], bool]:
-        """Run a strategy job: a whole exploration over the shared
+        """Run a strategy job: a whole exploration over the job's
         evaluator; the result is the best candidate's evaluation plus an
         exploration summary on the job record."""
         params = dict(job.strategy_params)
@@ -784,34 +733,6 @@ class EvaluationService:
         }
         return log.best.evaluation, None, False
 
-    def _evaluator_for(self, job: Job) -> ParallelEvaluator:
-        """The shared per-configuration evaluator (bounded LRU)."""
-        key = job.config_key
-        with self._lock:
-            evaluator = self._evaluators.get(key)
-            if evaluator is not None:
-                self._evaluators.move_to_end(key)
-                return evaluator
-            evaluator = ParallelEvaluator(
-                list(job.kernels),
-                weights=job.weights,
-                cache=self.cache,
-                max_steps=job.max_steps,
-                mode="serial",
-                sim_backend=job.backend,
-                static_check=False,  # the admission gate already ran
-                memoize=self.config.share_evaluations,
-                tech=job.tech,
-            )
-            self._evaluators[key] = evaluator
-            evicted = []
-            while len(self._evaluators) > self.config.max_evaluators:
-                _, old = self._evaluators.popitem(last=False)
-                evicted.append(old)
-        for old in evicted:
-            old.shutdown()
-        return evaluator
-
     # ------------------------------------------------------------------
     # Completion, retries, cancellation
     # ------------------------------------------------------------------
@@ -843,21 +764,11 @@ class EvaluationService:
                        f"/{self.config.max_attempts})"),
             )
 
-    def _requeue_rest(self, rest: List[Job], started: Dict[str, float],
-                      done: Dict[str, Tuple[str, Any]]) -> None:
-        """Batch-mates behind a timed-out/lost job: apply any result the
-        attempt thread already produced, re-queue the rest unharmed."""
-        for job in rest:
-            if job.id in done:
-                self._apply_result(job, done[job.id])
-            else:
-                self._requeue_job(job, delay=0.0)
-
     def _requeue_job(self, job: Job, delay: float) -> None:
         """Put an already-accepted job back on the queue (never dropped
         for depth); a stopped queue cancels it instead."""
         with self._lock:
-            self._set_state(job, JobState.QUEUED)
+            job.state = JobState.QUEUED
         try:
             self.queue.push(job, not_before=time.monotonic() + delay,
                             enforce_bound=False)
@@ -876,12 +787,12 @@ class EvaluationService:
         followers coalesced onto this job, release the in-flight key."""
         with self._lock:
             if job.done:
-                return  # a late write from an abandoned attempt thread
+                return  # an outcome is recorded once
             job.evaluation = evaluation
             job.error = error
             job.cached = cached
             job.finished_at = time.time()
-            self._set_state(job, state)
+            job.state = state
             followers = list(job.followers)
             if job.key is not None and self._inflight.get(job.key) is job:
                 del self._inflight[job.key]
@@ -892,7 +803,7 @@ class EvaluationService:
                 follower.cached = True if evaluation is not None else cached
                 follower.started_at = job.started_at
                 follower.finished_at = job.finished_at
-                self._set_state(follower, state)
+                follower.state = state
             self._journal_result(job)
             for follower in followers:
                 self._journal_result(follower)
@@ -906,13 +817,6 @@ class EvaluationService:
         if job.started_at is not None and job.finished_at is not None:
             self._observe("serve.job_seconds",
                           max(0.0, job.finished_at - job.created_at))
-
-    def _set_state(self, job: Job, state: JobState) -> None:
-        previous = job.state
-        job.state = state
-        if (self.journal is not None and not state.terminal
-                and state is not previous and job.restored is None):
-            self.journal.state(job.id, state.value, attempts=job.attempts)
 
     # ------------------------------------------------------------------
     # Metrics plumbing (own registry + the global obs facade)
@@ -945,8 +849,10 @@ def _restored_job(job_id: str, record: Dict[str, Any]) -> Job:
         id=job_id, desc=None,
         label=str(record.get("label", "<restored>")),
         workloads=tuple(record.get("workloads") or ()), kernels=(),
-        weights=CostWeights(), backend=str(record.get("backend", "xsim")),
-        max_steps=0, state=state, restored=record,
+        weights=CostWeights(),
+        backend=str(record.get("backend", DEFAULT_BACKEND)),
+        max_steps=DEFAULT_MAX_STEPS,
+        state=state, restored=record,
         created_at=record.get("created_at") or time.time(),
         finished_at=record.get("finished_at"),
         error=record.get("error"),

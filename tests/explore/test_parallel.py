@@ -40,7 +40,7 @@ def serial_results():
         return ev.evaluate_many(requests())
 
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
+@pytest.mark.parametrize("mode", ["process"])
 def test_pool_modes_match_serial_results(mode, serial_results):
     with ParallelEvaluator([sum_kernel()], mode=mode) as evaluator:
         results = evaluator.evaluate_many(requests())
@@ -54,7 +54,7 @@ def test_pool_modes_match_serial_results(mode, serial_results):
         assert got.evaluation.cost() == want.evaluation.cost()
 
 
-@pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+@pytest.mark.parametrize("mode", ["serial", "process"])
 def test_failed_candidate_is_recorded_not_raised(mode):
     batch = [
         EvalRequest(description_for("risc16"), "good"),
@@ -170,6 +170,19 @@ def test_explorer_cache_shared_across_explore_calls():
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
         ParallelEvaluator([sum_kernel()], mode="quantum")
+
+
+def test_auto_mode_runs_serially_where_processes_cannot_start(monkeypatch):
+    import multiprocessing
+
+    def unavailable(*args, **kwargs):
+        raise OSError("no process support")
+
+    monkeypatch.setattr(multiprocessing, "get_context", unavailable)
+    with ParallelEvaluator([sum_kernel()], mode="auto") as evaluator:
+        results = evaluator.evaluate_many(requests())
+        assert evaluator._pool is None
+    assert all(r.ok for r in results)
 
 
 # ----------------------------------------------------------------------

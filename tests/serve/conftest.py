@@ -37,7 +37,6 @@ def service_factory():
     def build(evaluate_fn=instant_eval, **config):
         config.setdefault("workers", 2)
         config.setdefault("static_check", False)
-        config.setdefault("batch_size", 1)
         config.setdefault("retry_backoff_s", 0.01)
         service = EvaluationService(
             ServiceConfig(**config), evaluate_fn=evaluate_fn

@@ -25,7 +25,7 @@ from .conftest import instant_eval, payload, stub_evaluation
 def live():
     """One shared server for the read-mostly client/CLI tests."""
     service = EvaluationService(
-        ServiceConfig(workers=2, static_check=True, batch_size=1),
+        ServiceConfig(workers=2, static_check=True),
         evaluate_fn=instant_eval,
     )
     server, _ = serve_in_thread(service)
@@ -111,7 +111,7 @@ def test_backpressure_retries_then_raises():
 
     service = EvaluationService(
         ServiceConfig(workers=1, max_queue_depth=1, coalesce=False,
-                      static_check=False, batch_size=1),
+                      static_check=False),
         evaluate_fn=gated,
     )
     server, _ = serve_in_thread(service)

@@ -35,7 +35,7 @@ def request(url, method="GET", body=None, headers=None):
 @pytest.fixture
 def server():
     service = EvaluationService(
-        ServiceConfig(workers=2, static_check=True, batch_size=1),
+        ServiceConfig(workers=2, static_check=True),
         evaluate_fn=instant_eval,
     )
     http_server, _ = serve_in_thread(service)
@@ -173,7 +173,7 @@ def test_full_queue_answers_429_with_retry_after():
 
     service = EvaluationService(
         ServiceConfig(workers=1, max_queue_depth=1, coalesce=False,
-                      static_check=False, batch_size=1),
+                      static_check=False),
         evaluate_fn=gated,
     )
     server, _ = serve_in_thread(service)

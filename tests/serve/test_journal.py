@@ -13,6 +13,15 @@ def make_journal(tmp_path, **kwargs):
     return JobJournal(str(tmp_path / "journal.jsonl"), **kwargs)
 
 
+def append_state_line(journal, job_id, state="running", attempts=0):
+    """Append a ``state`` event as older builds wrote one; replay must
+    skip it."""
+    event = {"event": "state", "id": job_id, "state": state,
+             "attempts": attempts, "ts": 0.0}
+    with open(journal.path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(event, sort_keys=True) + "\n")
+
+
 # ----------------------------------------------------------------------
 # Fold semantics
 # ----------------------------------------------------------------------
@@ -21,7 +30,7 @@ def make_journal(tmp_path, **kwargs):
 def test_admitted_without_result_is_live(tmp_path):
     journal = make_journal(tmp_path)
     journal.admit("j1", {"arch": "spam2"})
-    journal.state("j1", "running", attempts=1)
+    append_state_line(journal, "j1", attempts=1)
     journal.close()
     terminal, live = make_journal(tmp_path).load()
     assert terminal == {}
@@ -79,7 +88,7 @@ def test_compact_keeps_only_recent_terminal_records(tmp_path):
     for index in range(5):
         job_id = f"j{index}"
         journal.admit(job_id, {"n": index})
-        journal.state(job_id, "running")
+        append_state_line(journal, job_id)
         journal.result(job_id, {"id": job_id, "state": "succeeded"})
     terminal, live = journal.load()
     assert len(terminal) == 5 and not live
@@ -101,7 +110,7 @@ def test_compact_keeps_only_recent_terminal_records(tmp_path):
 
 
 def service_config(tmp_path, **overrides):
-    config = dict(workers=2, static_check=False, batch_size=1,
+    config = dict(workers=2, static_check=False,
                   data_dir=str(tmp_path / "data"))
     config.update(overrides)
     return ServiceConfig(**config)
@@ -123,6 +132,20 @@ def test_terminal_jobs_resolve_after_restart(tmp_path):
         assert restored["result"]["cycles"] == 100
     finally:
         second.shutdown(drain=False, timeout=2.0)
+
+
+def test_served_job_journals_only_admission_and_result(tmp_path):
+    service = EvaluationService(service_config(tmp_path),
+                                evaluate_fn=instant_eval).start()
+    try:
+        job_id = service.submit(payload()).id
+        assert service.wait(job_id, timeout=10.0).state.value == "succeeded"
+    finally:
+        service.shutdown(drain=True, timeout=5.0)
+    with open(service.journal.path, encoding="utf-8") as handle:
+        events = [json.loads(line) for line in handle]
+    assert [(event["event"], event["id"]) for event in events] == [
+        ("admitted", job_id), ("result", job_id)]
 
 
 def test_live_jobs_replay_with_their_original_ids(tmp_path):

@@ -314,8 +314,7 @@ def test_timed_out_jobs_batchmates_are_requeued_unharmed(service_factory):
         return stub_evaluation(job.label)
 
     service = service_factory(evaluate_fn=recording, workers=1,
-                              batch_size=4, coalesce=False,
-                              max_attempts=2)
+                              coalesce=False, max_attempts=2)
     stuck = service.submit(payload(label="stuck", timeout_s=0.2))
     mate = service.submit(payload(label="mate", timeout_s=5.0))
     assert service.wait(mate.id, timeout=15.0).state is JobState.SUCCEEDED
@@ -386,6 +385,36 @@ def test_priority_jumps_the_queue(service_factory):
     service.wait(low.id, timeout=10.0)
     service.wait(high.id, timeout=10.0)
     assert order == ["gate", "high", "low"]
+
+
+def test_priority_order_holds_across_configurations():
+    """A worker takes one job at a time: a low-priority job that shares
+    the configuration of a high-priority one never overtakes a
+    middle-priority job configured differently."""
+    gate_running = threading.Event()
+    release = threading.Event()
+    order = []
+
+    def recording(job):
+        if job.label == "gate":
+            gate_running.set()
+            release.wait(10)
+        order.append(job.label)
+        return stub_evaluation(job.label)
+
+    config = ServiceConfig(workers=1, static_check=False, coalesce=False)
+    with EvaluationService(config, evaluate_fn=recording) as service:
+        service.submit(payload(label="gate"))
+        assert gate_running.wait(10)
+        jobs = [
+            service.submit(payload(label="A", priority=5)),
+            service.submit(payload(label="B", priority=3, max_steps=777)),
+            service.submit(payload(label="C", priority=1)),
+        ]
+        release.set()
+        for job in jobs:
+            service.wait(job.id, timeout=10.0)
+    assert order == ["gate", "A", "B", "C"]
 
 
 def test_drain_finishes_inflight_and_cancels_queued(service_factory):
@@ -460,8 +489,10 @@ def test_admitted_warning_only_description_succeeds():
         assert getattr(done.evaluation, metric) == getattr(want, metric)
 
 
-def test_real_evaluation_and_cache_dedupe_across_time():
-    config = ServiceConfig(workers=1, static_check=False)
+@pytest.mark.parametrize("share_evaluations", [True, False])
+def test_real_evaluation_and_cache_dedupe_across_time(share_evaluations):
+    config = ServiceConfig(workers=1, static_check=False,
+                           share_evaluations=share_evaluations)
     with EvaluationService(config) as service:
         first = service.submit(payload(workloads=["sum:8"]))
         done = service.wait(first.id, timeout=120.0)
@@ -470,11 +501,13 @@ def test_real_evaluation_and_cache_dedupe_across_time():
         assert done.evaluation.cycles > 0
         assert not done.cached
         # the same candidate after completion: served from the cache,
-        # no second toolchain run (dedupe across time, not in flight)
+        # no second toolchain run (dedupe across time, not in flight);
+        # without the shared evaluation memo it is measured again
         second = service.submit(payload(workloads=["sum:8"]))
         again = service.wait(second.id, timeout=120.0)
         assert again.state is JobState.SUCCEEDED
-        assert again.cached
+        assert again.cached is share_evaluations
         assert again.evaluation.cycles == done.evaluation.cycles
         snapshot = service.metrics_snapshot()
-        assert snapshot.counters["serve.evaluations_run"] == 1
+        assert snapshot.counters["serve.evaluations_run"] == \
+            (1 if share_evaluations else 2)

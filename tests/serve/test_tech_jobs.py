@@ -38,7 +38,7 @@ def real_live():
 def live():
     """One stubbed server for the client/CLI plumbing tests."""
     service = EvaluationService(
-        ServiceConfig(workers=2, static_check=False, batch_size=1),
+        ServiceConfig(workers=2, static_check=False),
         evaluate_fn=instant_eval,
     )
     server, _ = serve_in_thread(service)
