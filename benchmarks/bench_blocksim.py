@@ -7,12 +7,6 @@ per exit.  Measured here, per Table-1 architecture: cycles/second for the
 compiled backend vs the block backend on the same steady-state kernels,
 plus a bit-for-bit state check between the two.
 
-A third question rides along: what do dataflow proof certificates buy?
-A certified simulator (``proofs=True``) elides the per-dispatch deopt
-guards and fuses superblock chains; on a hot loop split across
-jump-joined blocks it must beat the guarded simulator by at least
-1.05x while producing the identical run.
-
 ``BENCH_blocksim.json`` carries the machine-readable results; CI's
 bench-regression job fails the build if the block backend drops under a
 2x speedup or the architectural state diverges.  Set
@@ -20,43 +14,21 @@ bench-regression job fails the build if the block backend drops under a
 """
 
 import os
-import time
 
 import pytest
 
 from conftest import record, record_json
 from _kernels import preload_for, speed_program
 
-from repro.arch import description_for
-from repro.asm import Assembler
 from repro.gensim import simulator_for
-from repro.gensim.blocksim import BlockSimulator
 
 ARCHES = ["risc16", "acc8", "spam", "spam2"]
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 TABLE = "Block-compiled simulation (Table-1 architectures)"
 
-MIN_ELISION_SPEEDUP = 1.05
-
-#: hot loop split across blocks joined by unconditional jumps: the
-#: certified simulator fuses the chain and runs it guard-free
-ELIDE_SOURCE = """
-        ldi r0, #200
-        ldi r1, #0
-        ldi r2, #0
-        jmp loop
-loop:   add r1, r1, r0
-        jmp body
-body:   sub r0, r0, #1
-        bne loop - .
-        st (r2), r1
-        halt
-"""
-
 _speeds = {}
 _state_match = {}
 _block_stats = {}
-_proof_results = {}
 
 
 def _fresh(arch, backend):
@@ -103,59 +75,6 @@ def test_block_state_matches_compiled(arch):
     assert match, f"{arch}: block backend diverged from compiled"
 
 
-def _chain_sim(proofs):
-    desc = description_for("risc16")
-    sim = BlockSimulator(desc, proofs=proofs)
-    program = Assembler(desc).assemble(ELIDE_SOURCE, filename="chain.s")
-    sim.load_words(program.words, program.origin)
-    return desc, sim
-
-
-def test_certified_guard_elision_speedup():
-    sims = {}
-    runs = {}
-    for proofs in (False, True):
-        desc, sim = _chain_sim(proofs)
-        runs[proofs] = sim.run_to_completion()  # warm the block table
-        sims[proofs] = (desc, sim)
-    # proofs must not change what the program computes
-    assert runs[True] == runs[False]
-
-    reps = 3 if SMOKE else 20
-    rounds = 3 if SMOKE else 8
-    times = {False: [], True: []}
-    # ABBA interleave so machine-speed drift hits both flavours equally
-    for _ in range(rounds):
-        for proofs in (True, False, False, True):
-            desc, sim = sims[proofs]
-            start = time.perf_counter()
-            for _ in range(reps):
-                _rerun(desc, sim)
-            times[proofs].append(time.perf_counter() - start)
-    guarded = min(times[False]) / reps
-    certified = min(times[True]) / reps
-    speedup = guarded / certified
-
-    stats = sims[True][1].block_stats
-    assert stats.fused_blocks >= 1, "no superblock chain formed"
-    assert stats.chain_dispatches > 0
-    assert stats.deopts == 0, "certified hot loop still deopted"
-    _proof_results.update({
-        "guarded_s": guarded,
-        "certified_s": certified,
-        "elision_speedup": speedup,
-        "fused_blocks": stats.fused_blocks,
-        "chain_dispatches": stats.chain_dispatches,
-        "certified_deopts": stats.deopts,
-    })
-    record(TABLE, f"- risc16 hot loop: certified (guards elided, chains "
-                  f"fused) over guarded **{speedup:.2f}x**")
-    assert speedup >= MIN_ELISION_SPEEDUP, (
-        f"guard elision buys only {speedup:.2f}x "
-        f"(floor {MIN_ELISION_SPEEDUP}x)"
-    )
-
-
 @pytest.mark.parametrize("mode", ["compiled", "block"])
 @pytest.mark.parametrize("arch", ARCHES)
 def test_simulation_speed(benchmark, arch, mode):
@@ -200,7 +119,6 @@ def _finalize():
         "speedup_over_compiled": speedups,
         "state_match": _state_match,
         "block_stats": _block_stats,
-        "proofs": _proof_results,
     })
     # Lenient in-file floor (the target is 5x on a quiet machine); CI's
     # bench-regression job enforces the same floor from the JSON.

@@ -51,12 +51,6 @@ __all__ = [
     "program_facts",
     "arch_facts",
     "words_digest",
-    "DeoptFreedom",
-    "SuperblockChain",
-    "derive_deopt_freedom",
-    "derive_superblock_chains",
-    "check_deopt_freedom",
-    "check_superblock_chains",
 ]
 
 _LAZY = {
@@ -75,12 +69,6 @@ _LAZY = {
     "program_facts": "dataflow",
     "arch_facts": "dataflow",
     "words_digest": "dataflow",
-    "DeoptFreedom": "dataflow",
-    "SuperblockChain": "dataflow",
-    "derive_deopt_freedom": "dataflow",
-    "derive_superblock_chains": "dataflow",
-    "check_deopt_freedom": "dataflow",
-    "check_superblock_chains": "dataflow",
 }
 
 

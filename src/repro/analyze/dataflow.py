@@ -1,4 +1,4 @@
-"""Worklist dataflow over decoded programs: facts, lints and proofs.
+"""Worklist dataflow over decoded programs: facts and lints.
 
 The per-construct passes in :mod:`repro.analyze.passes` look at one
 operation (or one pair) at a time.  This module adds whole-program
@@ -18,35 +18,18 @@ four concrete lattices —
   out of scope — the lattice answers "can this value change what the
   program does next", which is the question dead-write elision asks).
 
-The facts land in three consumers:
-
-1. the ``ISDL6xx`` diagnostics of :func:`pass_dataflow` (registered in
-   :data:`repro.analyze.passes.ALL_PASSES`) — unreachable blocks,
-   provably never-halting programs, always-false guards, dead
-   conditional writes, and storages written-but-never-read across every
-   supplied workload program;
-2. **proof certificates** for :class:`repro.gensim.blocksim.BlockSimulator`
-   — :class:`DeoptFreedom` (no self-modifying stores, every PC target
-   resolved, no write outlives its block) lets the block JIT drop its
-   per-dispatch deopt guards, and :class:`SuperblockChain` (maximal
-   single-successor resolved chains) lets it fuse whole chains into one
-   compiled unit.  Both are soundness-critical, so both ship with an
-   independent checker (:func:`check_deopt_freedom`,
-   :func:`check_superblock_chains`) that re-derives every claim from
-   the description and program words alone;
-3. delta-aware incremental analysis: per-instruction facts are keyed by
-   the operations' unit fingerprints plus the decoded operands, so a
-   child description re-analyzes only instructions whose definitions a
-   mutation touched (``REPRO_INCREMENTAL_CHECK=1`` shadow-builds cold
-   and asserts equality, exactly like the artifact builders).
+The facts feed the ``ISDL6xx`` diagnostics of :func:`pass_dataflow`
+(registered in :data:`repro.analyze.passes.ALL_PASSES`) — unreachable
+blocks, provably never-halting programs, always-false guards, dead
+conditional writes, and storages written-but-never-read across every
+supplied workload program.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -61,7 +44,7 @@ from typing import (
 from .. import obs
 from ..encoding.bits import mask
 from ..isdl import ast, rtl
-from ..isdl.fingerprint import fingerprint, unit_fingerprint
+from ..isdl.fingerprint import fingerprint
 
 __all__ = [
     "fixpoint",
@@ -71,18 +54,8 @@ __all__ = [
     "ArchFacts",
     "program_facts",
     "arch_facts",
-    "DeoptFreedom",
-    "SuperblockChain",
-    "derive_deopt_freedom",
-    "derive_superblock_chains",
-    "check_deopt_freedom",
-    "check_superblock_chains",
     "words_digest",
 ]
-
-#: Fused superblock chains are capped at this many instructions so one
-#: pathological chain cannot dominate compile time.
-MAX_CHAIN_LEN = 256
 
 
 # ---------------------------------------------------------------------------
@@ -157,18 +130,10 @@ def fixpoint(
 
 @dataclass(frozen=True)
 class InstrFacts:
-    """Static summary of one decoded instruction at one address.
-
-    ``key`` identifies everything the summary is a function of besides
-    the address: the unit fingerprints of the decoded operations'
-    definitions plus the decoded operand bindings.  Two descriptions
-    whose decode of a word agrees on ``key`` provably agree on the
-    whole summary, which is what the incremental rebuild relies on.
-    """
+    """Static summary of one decoded instruction at one address."""
 
     offset: int
     size: int
-    key: Tuple
     reads: FrozenSet[str]
     writes: FrozenSet[str]
     #: ``(storage, value, definite)`` per scalar write, in RTL order.
@@ -249,14 +214,9 @@ class _InstrAnalyzer:
                 _label, sub_operands = operands[pname]
                 scan_unit(option, sub_operands)
 
-        key_parts = []
         for dop in decoded.operations:
-            op = self.desc.operation(dop.field, dop.op_name)
-            key_parts.append((
-                dop.field, dop.op_name, unit_fingerprint(op),
-                _freeze_operands(dop.operands),
-            ))
-            scan_unit(op, dop.operands)
+            scan_unit(self.desc.operation(dop.field, dop.op_name),
+                      dop.operands)
         if flow.writes_pc and not scan.pc_unresolved:
             targets: Optional[Tuple[int, ...]] = tuple(
                 sorted({t & self.pc_mask for t in scan.pc_targets})
@@ -266,7 +226,6 @@ class _InstrAnalyzer:
         return InstrFacts(
             offset=offset,
             size=flow.size,
-            key=tuple(key_parts),
             reads=frozenset(scan.reads),
             writes=frozenset(scan.writes),
             scalar_writes=tuple(scan.scalar_writes),
@@ -279,18 +238,6 @@ class _InstrAnalyzer:
             max_latency=flow.max_latency,
             false_guards=tuple(scan.false_guards),
         )
-
-
-def _freeze_operands(operands) -> Tuple:
-    out = []
-    for name in sorted(operands):
-        value = operands[name]
-        if isinstance(value, tuple):  # NT binding: (label, sub-operands)
-            label, sub = value
-            out.append((name, label, _freeze_operands(sub)))
-        else:
-            out.append((name, value))
-    return tuple(out)
 
 
 class _RtlScan:
@@ -420,7 +367,7 @@ class ProgramFacts:
     name: str
     origin: int
     n_words: int
-    #: content digest of ``(origin, words)`` — stamps certificates
+    #: content digest of ``(origin, words)``
     digest: str
     #: entry block offset (PC resets to address 0); None when address 0
     #: is outside the loaded image
@@ -434,8 +381,6 @@ class ProgramFacts:
     halting: Optional[bool]
     reads: FrozenSet[str]
     writes: FrozenSet[str]
-    #: per-unit reuse accounting of the (possibly incremental) build
-    reuse_counts: Dict[str, int] = field(compare=False, default_factory=dict)
 
     @property
     def reachable_offsets(self) -> FrozenSet[int]:
@@ -630,9 +575,7 @@ def _program_fixpoints(instr: Dict[int, InstrFacts], raw: Dict[int, Dict],
 
 
 def _build_program_facts(desc: ast.Description, words: Sequence[int],
-                         origin: int, name: str,
-                         parent_facts: Optional[ProgramFacts],
-                         table=None) -> ProgramFacts:
+                         origin: int, name: str, table=None) -> ProgramFacts:
     from ..gensim.disassembler import Disassembler
 
     analyzer = _InstrAnalyzer(desc)
@@ -640,30 +583,11 @@ def _build_program_facts(desc: ast.Description, words: Sequence[int],
     decoded = [disasm.disassemble(word) for word in words]
     flows = analyzer.cfa.flows_for_program(decoded)
     n_words = len(words)
-    reused = 0
-    computed = 0
-    instr: Dict[int, InstrFacts] = {}
-    for offset in range(n_words):
-        if flows[offset] is None:
-            continue
-        address = origin + offset
-        parent = (
-            parent_facts.instr.get(offset)
-            if parent_facts is not None else None
-        )
-        if parent is not None:
-            key = tuple(
-                (dop.field, dop.op_name,
-                 unit_fingerprint(desc.operation(dop.field, dop.op_name)),
-                 _freeze_operands(dop.operands))
-                for dop in decoded[offset].operations
-            )
-            if parent.key == key:
-                instr[offset] = parent
-                reused += 1
-                continue
-        instr[offset] = analyzer.summarize(decoded[offset], offset, address)
-        computed += 1
+    instr: Dict[int, InstrFacts] = {
+        offset: analyzer.summarize(decoded[offset], offset, origin + offset)
+        for offset in range(n_words)
+        if flows[offset] is not None
+    }
     entry, raw, complete = _build_blocks(
         analyzer, instr, flows, origin, n_words
     )
@@ -708,309 +632,29 @@ def _build_program_facts(desc: ast.Description, words: Sequence[int],
         halting=halting,
         reads=reads,
         writes=writes,
-        reuse_counts={"instr_reused": reused, "instr_computed": computed},
     )
 
 
 def program_facts(desc: ast.Description, words: Sequence[int],
                   origin: int = 0, *, name: str = "<program>",
-                  cache=None, parent: Optional[ast.Description] = None,
                   table=None) -> ProgramFacts:
     """Dataflow facts for *words* loaded at *origin* under *desc*.
 
     *table* is the description's signature table, when the caller holds
-    one, to decode the words with.  With a *cache* the result is memoized
-    by (description fingerprint, words, origin).  With a *parent*
-    description whose facts for the same program are cached,
-    per-instruction summaries are reused for every instruction whose
-    decoded operations are byte-identical definitions — the fixpoints
-    (cheap) always re-run.  Set
-    ``REPRO_INCREMENTAL_CHECK=1`` to shadow-build cold and assert the
-    incremental result identical.
+    one, to decode the words with.
     """
-    def build() -> ProgramFacts:
-        parent_facts = None
-        if parent is not None and cache is not None:
-            parent_facts = cache.peek_facts(parent, words, origin)
-        with obs.span("analyze.dataflow", desc=desc.name, program=name):
-            facts = _build_program_facts(
-                desc, words, origin, name, parent_facts, table
-            )
-        if parent_facts is not None:
-            if cache is not None:
-                cache.note_incremental("facts", facts.reuse_counts)
-            if os.environ.get("REPRO_INCREMENTAL_CHECK") == "1":
-                cold = _build_program_facts(desc, words, origin, name, None)
-                if facts != cold:
-                    raise AssertionError(
-                        "incremental dataflow facts diverged from the"
-                        f" cold build for {name!r}"
-                    )
-        return facts
-
-    if cache is None:
-        return build()
-    return cache.facts(desc, words, origin, build)
+    with obs.span("analyze.dataflow", desc=desc.name, program=name):
+        return _build_program_facts(desc, words, origin, name, table)
 
 
 def arch_facts(desc: ast.Description,
                programs: Sequence[Tuple[str, Sequence[int], int]], *,
-               cache=None, parent: Optional[ast.Description] = None,
                table=None) -> ArchFacts:
     """Facts for every ``(name, words, origin)`` program under *desc*."""
     return ArchFacts(
         desc_fp=fingerprint(desc),
         programs={
-            name: program_facts(desc, words, origin, name=name,
-                                cache=cache, parent=parent, table=table)
+            name: program_facts(desc, words, origin, name=name, table=table)
             for name, words, origin in programs
         },
     )
-
-
-# ---------------------------------------------------------------------------
-# Proof certificates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeoptFreedom:
-    """Proof that a program can run without runtime deopt guards.
-
-    Claims, over every entry-reachable instruction: no instruction
-    memory write (no self-modifying code), no statically unresolvable
-    destination, every PC write constant-folds, and no write latency
-    exceeds one cycle (so no write ever outlives its block — the
-    latency-residue machinery is never needed).  ``blocks`` is the
-    reachable block cover; soundness needs it *closed* under the
-    successor relation, which the checker re-derives.
-    """
-
-    desc_fp: str
-    program_digest: str
-    entry: int
-    blocks: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SuperblockChain:
-    """Certified single-successor block chains for superblock fusion.
-
-    Each chain is a sequence of block entry offsets where every link is
-    either an *unconditional, resolved, single-target* PC write landing
-    exactly on the next block's entry, or a capped/fall-through block
-    whose next word is the next entry.  A fused compile of the chain is
-    then execution-equivalent to dispatching the blocks one by one
-    (halt exits inside the chain remain side exits).
-    """
-
-    desc_fp: str
-    program_digest: str
-    chains: Tuple[Tuple[int, ...], ...]
-
-
-def derive_deopt_freedom(desc: ast.Description,
-                         facts: ProgramFacts) -> Optional[DeoptFreedom]:
-    """A :class:`DeoptFreedom` certificate, or None when not provable."""
-    if not facts.complete or facts.entry is None:
-        return None
-    for start in facts.reachable:
-        block = facts.blocks[start]
-        if block.succs_unknown:
-            return None
-        for offset in block.offsets:
-            instr = facts.instr[offset]
-            if instr.writes_imem or instr.unresolved:
-                return None
-            if instr.writes_pc and instr.pc_targets is None:
-                return None
-            if instr.max_latency > 1:
-                return None
-    return DeoptFreedom(
-        desc_fp=fingerprint(desc),
-        program_digest=facts.digest,
-        entry=facts.entry,
-        blocks=tuple(sorted(facts.reachable)),
-    )
-
-
-def _chain_next(facts: ProgramFacts, start: int) -> Optional[int]:
-    """The unique certified continuation of block *start*, if any."""
-    block = facts.blocks[start]
-    if block.succs_unknown or len(block.succs) != 1:
-        return None
-    if block.may_exit:
-        return None
-    last = facts.instr[block.offsets[-1]]
-    if last.writes_pc:
-        if last.conditional_pc or last.pc_targets is None \
-                or len(last.pc_targets) != 1:
-            return None
-        # a branch whose PC write outlives its own boundary executes
-        # with delay-slot semantics when dispatched unfused — fusing
-        # would change behaviour, so only latency-1 terminators link
-        if last.max_latency > 1:
-            return None
-    succ = block.succs[0]
-    return succ if succ in facts.blocks else None
-
-
-def derive_superblock_chains(desc: ast.Description,
-                             facts: ProgramFacts) -> SuperblockChain:
-    """Maximal certified chains (length ≥ 2 blocks) in *facts*."""
-    chains: List[Tuple[int, ...]] = []
-    if facts.complete:
-        next_of = {
-            start: _chain_next(facts, start)
-            for start in sorted(facts.blocks)
-        }
-        preds: Dict[int, List[int]] = {s: [] for s in facts.blocks}
-        for start in facts.blocks:
-            for succ in facts.blocks[start].succs:
-                if succ in preds:
-                    preds[succ].append(start)
-        for start in sorted(facts.blocks):
-            if next_of.get(start) is None:
-                continue
-            # a block whose *only* way in is its unique predecessor's
-            # chain link is pure interior — it never heads a dispatch.
-            # Join points (several predecessors) head their own chain
-            # even when another chain runs through them: the overlap is
-            # superblock tail duplication, bounded by MAX_CHAIN_LEN.
-            sole = preds[start]
-            if (start != facts.entry and len(sole) == 1
-                    and next_of.get(sole[0]) == start):
-                continue
-            chain = [start]
-            length = len(facts.blocks[start].offsets)
-            node = next_of[start]
-            while (
-                node is not None
-                and node not in chain
-                and length + len(facts.blocks[node].offsets) <= MAX_CHAIN_LEN
-            ):
-                chain.append(node)
-                length += len(facts.blocks[node].offsets)
-                node = next_of.get(node)
-            if len(chain) >= 2:
-                chains.append(tuple(chain))
-    return SuperblockChain(
-        desc_fp=fingerprint(desc),
-        program_digest=facts.digest,
-        chains=tuple(chains),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Certificate checkers (independent of the fixpoint engine)
-# ---------------------------------------------------------------------------
-
-
-def _checker_instr(desc: ast.Description, words: Sequence[int],
-                   origin: int):
-    """(analyzer, flows, summarize-by-offset) re-derived from scratch."""
-    from ..gensim.disassembler import Disassembler
-
-    analyzer = _InstrAnalyzer(desc)
-    disasm = Disassembler(desc)
-    decoded = [disasm.disassemble(word) for word in words]
-    flows = analyzer.cfa.flows_for_program(decoded)
-
-    def summarize(offset: int) -> InstrFacts:
-        return analyzer.summarize(decoded[offset], offset, origin + offset)
-
-    return analyzer, flows, summarize
-
-
-def check_deopt_freedom(desc: ast.Description, words: Sequence[int],
-                        origin: int, cert: DeoptFreedom) -> bool:
-    """Re-validate every :class:`DeoptFreedom` claim from first principles.
-
-    Walks the certified block cover with a fresh analyzer (no fixpoint
-    involved) and verifies: the entry block is covered, the cover is
-    closed under resolved successors, and no covered instruction
-    self-modifies, hides a destination, leaves a PC target unresolved,
-    or writes with latency above one cycle.
-    """
-    from ..gensim.cfg import block_span
-
-    if cert.desc_fp != fingerprint(desc):
-        return False
-    if cert.program_digest != words_digest(words, origin):
-        return False
-    analyzer, flows, summarize = _checker_instr(desc, words, origin)
-    covered = set(cert.blocks)
-    entry = 0 - origin
-    if cert.entry != entry or entry not in covered:
-        return False
-    n_words = len(words)
-    for start in cert.blocks:
-        if not (0 <= start < n_words) or flows[start] is None:
-            return False
-        span = block_span(flows, start)
-        if not span:
-            return False
-        for offset in span:
-            instr = summarize(offset)
-            if instr.writes_imem or instr.unresolved:
-                return False
-            if instr.writes_pc and instr.pc_targets is None:
-                return False
-            if instr.max_latency > 1:
-                return False
-        last = summarize(span[-1])
-        fall = span[-1] + last.size
-        succs: List[int] = []
-        if last.writes_pc:
-            succs.extend(t - origin for t in last.pc_targets)
-        if not last.writes_pc or last.conditional_pc:
-            succs.append(fall)
-        for succ in succs:
-            if 0 <= succ < n_words and flows[succ] is not None \
-                    and succ not in covered:
-                return False
-    return True
-
-
-def check_superblock_chains(desc: ast.Description, words: Sequence[int],
-                            origin: int, cert: SuperblockChain) -> bool:
-    """Re-validate every chain link from first principles."""
-    from ..gensim.cfg import block_span
-
-    if cert.desc_fp != fingerprint(desc):
-        return False
-    if cert.program_digest != words_digest(words, origin):
-        return False
-    analyzer, flows, summarize = _checker_instr(desc, words, origin)
-    n_words = len(words)
-    for chain in cert.chains:
-        if len(chain) < 2:
-            return False
-        total = 0
-        for i, start in enumerate(chain):
-            if not (0 <= start < n_words) or flows[start] is None:
-                return False
-            span = block_span(flows, start)
-            if not span:
-                return False
-            total += len(span)
-            for offset in span:
-                instr = summarize(offset)
-                if instr.writes_imem or instr.unresolved:
-                    return False
-            if i == len(chain) - 1:
-                continue
-            last = summarize(span[-1])
-            expected = origin + chain[i + 1]
-            if last.writes_pc:
-                if last.conditional_pc or last.pc_targets is None \
-                        or last.max_latency > 1:
-                    return False
-                if last.pc_targets != (expected & analyzer.pc_mask,):
-                    return False
-            else:
-                if span[-1] + last.size != chain[i + 1]:
-                    return False
-        if total > MAX_CHAIN_LEN:
-            return False
-    return True

@@ -423,26 +423,21 @@ class ArtifactCache:
 
     def block_table(self, desc, words, origin: int,
                     builder: Callable[[], Any],
-                    fp: Optional[str] = None, *,
-                    variant: str = "plain"):
+                    fp: Optional[str] = None):
         """Memoized :class:`repro.gensim.blocksim.BlockTable`.
 
         Keyed by (description fingerprint, program words, origin): block
         functions close over burned constants only, so one lazily filled
         table serves every simulator measuring the same candidate.
-        *variant* separates incompatible compilation modes — a
-        proof-certified simulator fuses superblock chains, and its fused
-        entries must never be dispatched by a guarded (``"plain"``) run.
         Memory layer only — compiled code objects do not pickle.
         """
         fp = fp or self.description_fingerprint(desc)
         return self.get_or_build(
-            "blocktable", (fp, tuple(words), origin, variant), builder
+            "blocktable", (fp, tuple(words), origin), builder
         )
 
     def peek_block_table(self, desc, words, origin: int,
-                         fp: Optional[str] = None, *,
-                         variant: str = "plain"):
+                         fp: Optional[str] = None):
         """Non-counting lookup of a cached block table; None on miss.
 
         Used by the block simulator to find the *parent* candidate's
@@ -451,34 +446,7 @@ class ArtifactCache:
         :meth:`repro.gensim.blocksim.BlockSimulator.load_words`).
         """
         fp = fp or self.description_fingerprint(desc)
-        return self.peek("blocktable", (fp, tuple(words), origin, variant))
-
-    def facts(self, desc, words, origin: int,
-              builder: Callable[[], Any],
-              fp: Optional[str] = None):
-        """Memoized :class:`repro.analyze.dataflow.ProgramFacts`.
-
-        Keyed like block tables — (description fingerprint, program
-        words, origin) — so every consumer of one candidate × program
-        pair (diagnostic passes, certificate derivation, the block
-        simulator) pays for one fixpoint run.  Memory layer only: facts
-        are cheap to rebuild and referenced from live simulators.
-        """
-        fp = fp or self.description_fingerprint(desc)
-        return self.get_or_build(
-            "facts", (fp, tuple(words), origin), builder
-        )
-
-    def peek_facts(self, desc, words, origin: int,
-                   fp: Optional[str] = None):
-        """Non-counting lookup of cached program facts; None on miss.
-
-        The incremental rebuild peeks the *parent* description's facts
-        for the same program and carries over per-instruction summaries
-        whose decode keys (operation unit fingerprints + operands) match.
-        """
-        fp = fp or self.description_fingerprint(desc)
-        return self.peek("facts", (fp, tuple(words), origin))
+        return self.peek("blocktable", (fp, tuple(words), origin))
 
     def evaluation(self, key: Hashable, builder: Callable[[], Any]):
         """Memoized whole-candidate evaluation (see explore.metrics)."""

@@ -312,12 +312,8 @@ def _evaluate_uncached(
             elif sim_backend == "block":
                 from ..gensim.blocksim import BlockSimulator
 
-                # proof-carrying mode: certificates derived from the
-                # dataflow facts elide deopt guards and fuse certified
-                # superblock chains — result-identical by construction
-                # (REPRO_PROOF_CHECK=1 asserts it), just fewer dispatches
                 sim = BlockSimulator(desc, table=table, cache=cache,
-                                     parent=parent, proofs=True)
+                                     parent=parent)
             else:
                 from ..gensim.protocol import simulator_for
 

@@ -35,7 +35,6 @@ differentially and property-tests it across the sample machines.
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -82,8 +81,6 @@ class BlockStats:
     deopts: int = 0  # dispatches routed to the per-instruction path
     interp_steps: int = 0  # instructions executed on that path
     residue_writes: int = 0  # latency writes carried past a block exit
-    fused_blocks: int = 0  # certified superblock chains compiled
-    chain_dispatches: int = 0  # dispatches served by a fused chain
 
     @property
     def dispatches(self) -> int:
@@ -101,7 +98,7 @@ class CompiledBlock:
     start: int
     n: int
     fn: Optional[object]
-    #: offsets one dispatch executes, in order (fused chains included)
+    #: offsets one dispatch executes, in order
     offsets: Tuple[int, ...] = ()
     #: slot-indexed commit closures for the latency residue
     residue: Tuple = ()
@@ -112,9 +109,6 @@ class CompiledBlock:
     #: (field, op) pairs decoded in the block's span — the provenance an
     #: incremental child checks before adopting the block unrecompiled
     ops: FrozenSet[Tuple[str, str]] = frozenset()
-    #: member block entry offsets of a fused superblock chain (empty for
-    #: an ordinary single-block compile)
-    segments: Tuple[int, ...] = ()
 
 
 class BlockTable:
@@ -205,18 +199,8 @@ class _BlockCompiler:
     # Top level: one block
     # ------------------------------------------------------------------
 
-    def compile(self, offsets: Sequence[int],
-                elide_pc: FrozenSet[int] = frozenset(),
-                segments: Tuple[int, ...] = ()) -> CompiledBlock:
-        """Render *offsets* into one block function.
-
-        *elide_pc* marks offsets of interior chain terminators in a
-        certified superblock compile: their PC writes are dropped
-        instead of committed, which is sound exactly because the
-        :class:`~repro.analyze.dataflow.SuperblockChain` certificate
-        proves every such write lands on the next segment's entry (the
-        address the fall-through already continues at).
-        """
+    def compile(self, offsets: Sequence[int]) -> CompiledBlock:
+        """Render *offsets* into one block function."""
         sim = self.sim
         origin = sim._origin
         pc_mask = mask(sim._widths[self.pc])
@@ -262,15 +246,7 @@ class _BlockCompiler:
             before = len(self.records)
             decoded = sim._decoded[offset]
             self._emit_instruction(decoded, retire_off=cyc + cycles)
-            fresh = self.records[before:]
-            if offset in elide_pc:
-                # certified chain link: every PC outcome of this
-                # terminator equals the next segment's entry address
-                fresh = [
-                    w for w in fresh
-                    if w.is_array or w.name != self.pc
-                ]
-            outstanding.extend(fresh)
+            outstanding.extend(self.records[before:])
             cyc += cycles
         # Final boundary: fall-through PC (terminator writes override it
         # through the commits below), due commits, latency residue.
@@ -301,7 +277,6 @@ class _BlockCompiler:
                 for offset in offsets
                 for dop in sim._decoded[offset].operations
             ),
-            segments=segments,
         )
 
     def _comment(self, offset: int, address: int) -> None:
@@ -647,8 +622,7 @@ class BlockSimulator(CompiledSimulator):
 
     def __init__(self, desc: ast.Description, table=None, *,
                  cache=None, monitors: Optional[MonitorSet] = None,
-                 parent: Optional[ast.Description] = None,
-                 proofs: bool = False):
+                 parent: Optional[ast.Description] = None):
         super().__init__(desc, table=table)
         self.cache = cache
         self.monitors = monitors
@@ -664,16 +638,6 @@ class BlockSimulator(CompiledSimulator):
         # are adopted instead of recompiled.
         self._parent = parent
         self._adopt: Optional[Tuple[BlockTable, object]] = None
-        # Proof-carrying mode: derive dataflow certificates at load time
-        # (validated by their independent checkers before use).  A
-        # DeoptFreedom proof elides the per-dispatch deopt guards; a
-        # SuperblockChain certificate fuses whole chains into single
-        # compiled units.  Final state, cycles and stats are proof-equal
-        # to the guarded run (REPRO_PROOF_CHECK=1 re-runs and asserts).
-        self.proofs = proofs
-        self._deopt_free = False
-        self._chains: Dict[int, Tuple[int, ...]] = {}
-        self._loaded: Optional[Tuple[Tuple[int, ...], int]] = None
 
     # ------------------------------------------------------------------
     # Loading (invalidates the dispatch cache)
@@ -683,26 +647,16 @@ class BlockSimulator(CompiledSimulator):
         super().load_words(words, origin)
         self._dispatches = [0] * len(words)
         self._flows = self._cfg.flows_for_program(self._decoded)
-        self._loaded = (tuple(words), origin)
-        self._deopt_free = False
-        self._chains = {}
-        if self.proofs:
-            self._derive_proofs(words, origin)
-        # A certified simulator compiles fused chains into its table;
-        # those entries must never be dispatched by a guarded run, so
-        # the two modes key distinct shared tables.
-        variant = "certified" if self.proofs else "plain"
         if self.cache is not None:
             self._blocks = self.cache.block_table(
-                self.desc, words, origin,
-                lambda: BlockTable(len(words)), variant=variant,
+                self.desc, words, origin, lambda: BlockTable(len(words)),
             )
         else:
             self._blocks = BlockTable(len(words))
         self._adopt = None
         if self._parent is not None and self.cache is not None:
             parent_table = self.cache.peek_block_table(
-                self._parent, words, origin, variant=variant
+                self._parent, words, origin
             )
             if parent_table is not None:
                 delta = fingerprint_delta(self._parent, self.desc)
@@ -725,41 +679,6 @@ class BlockSimulator(CompiledSimulator):
                     counts[offset] += n
         return counts
 
-    def _derive_proofs(self, words: Sequence[int], origin: int) -> None:
-        """Derive and checker-validate the load-time certificates.
-
-        Soundness never rests on the fixpoint engine alone: a
-        certificate is only consumed after its independent checker
-        re-validated every claim against the description and the loaded
-        words.  A failed check silently drops the certificate — the
-        guarded machinery stays correct without it.
-        """
-        from ..analyze.dataflow import (
-            check_deopt_freedom,
-            check_superblock_chains,
-            derive_deopt_freedom,
-            derive_superblock_chains,
-            program_facts,
-        )
-
-        facts = program_facts(
-            self.desc, words, origin, name=f"<words@{origin:#x}>",
-            cache=self.cache, parent=self._parent,
-            table=self.disassembler.table,
-        )
-        cert = derive_deopt_freedom(self.desc, facts)
-        if cert is not None and check_deopt_freedom(
-            self.desc, words, origin, cert
-        ):
-            self._deopt_free = True
-            obs.add("blocksim.proof_deopt_free")
-        chains = derive_superblock_chains(self.desc, facts)
-        if chains.chains and check_superblock_chains(
-            self.desc, words, origin, chains
-        ):
-            self._chains = {chain[0]: chain for chain in chains.chains}
-            obs.add("blocksim.proof_chains", len(chains.chains))
-
     # ------------------------------------------------------------------
     # Block compilation
     # ------------------------------------------------------------------
@@ -769,11 +688,6 @@ class BlockSimulator(CompiledSimulator):
         deopt = CompiledBlock(start=start, n=1, fn=None)
         if not span:
             return deopt
-        chain = self._chains.get(start)
-        if chain is not None:
-            fused = self._compile_chain(chain)
-            if fused is not None:
-                return fused
         for offset in span:
             flow = self._flows[offset]
             if flow.writes_imem or flow.unresolved:
@@ -787,43 +701,8 @@ class BlockSimulator(CompiledSimulator):
         except (_Unsupported, SimulationError, KeyError):
             return deopt
 
-    def _compile_chain(self, chain: Tuple[int, ...]
-                       ) -> Optional[CompiledBlock]:
-        """One fused unit for a certified chain; None falls back to the
-        ordinary single-block compile (correct either way — fusion is
-        purely a dispatch-count optimization)."""
-        offsets: List[int] = []
-        elide: set = set()
-        for i, seg in enumerate(chain):
-            span = block_span(self._flows, seg)
-            if not span:
-                return None
-            for offset in span:
-                flow = self._flows[offset]
-                if flow.writes_imem or flow.unresolved:
-                    return None
-            offsets.extend(span)
-            if i < len(chain) - 1:
-                # interior terminator (a no-op for fall-through links,
-                # which have no PC write to elide)
-                elide.add(span[-1])
-        adopted = self._adopted_block(chain[0], offsets, segments=chain)
-        if adopted is not None:
-            obs.add("blocksim.blocks_adopted")
-            return adopted
-        try:
-            block = _BlockCompiler(self).compile(
-                offsets, elide_pc=frozenset(elide), segments=chain
-            )
-        except (_Unsupported, SimulationError, KeyError):
-            return None
-        self.block_stats.fused_blocks += 1
-        obs.add("blocksim.fused_blocks")
-        return block
-
-    def _adopted_block(self, start: int, span: Sequence[int],
-                       segments: Tuple[int, ...] = ()
-                       ) -> Optional[CompiledBlock]:
+    def _adopted_block(self, start: int,
+                       span: Sequence[int]) -> Optional[CompiledBlock]:
         """The parent's compiled block for *span*, when provably identical.
 
         Sound because the generated source is a pure function of the
@@ -844,10 +723,6 @@ class BlockSimulator(CompiledSimulator):
         block = parent_table.blocks[start]
         if block is None or block.fn is None or block.n != len(span):
             return None
-        if block.segments != segments:
-            # same length but a different (or no) chain segmentation
-            # changes which PC commits were elided — not the same code
-            return None
         for offset in span:
             for dop in self._decoded[offset].operations:
                 if not delta.op_unchanged(dop.field, dop.op_name):
@@ -863,28 +738,8 @@ class BlockSimulator(CompiledSimulator):
         cycles_before = self.cycle
         bs = self.block_stats
         before = (bs.hits, bs.misses, bs.deopts, bs.residue_writes)
-        shadow = None
-        if (
-            self.proofs and self._loaded is not None
-            and os.environ.get("REPRO_PROOF_CHECK") == "1"
-        ):
-            shadow = (
-                dict(self.scalars),
-                {name: list(arr) for name, arr in self.arrays.items()},
-                self.cycle, self.stall_cycles, self._address_counts(),
-            )
-        # With a checker-validated DeoptFreedom certificate (and no
-        # monitors, which need the watched-storage deopt) the driver
-        # runs guard-free: no pending-write deopt test, no monitor sync.
-        certified = (
-            self._deopt_free and self.monitors is None
-            and not self._pending
-        )
         with obs.span("sim.run", backend="block", desc=self.desc.name):
-            if certified:
-                result = self._run_loop_certified(max_steps)
-            else:
-                result = self._run_loop(max_steps)
+            result = self._run_loop(max_steps)
         if obs.enabled():
             obs.add("sim.runs")
             obs.add("sim.cycles", self.cycle - cycles_before)
@@ -895,47 +750,7 @@ class BlockSimulator(CompiledSimulator):
             obs.add("blocksim.deopts", bs.deopts - before[2])
             obs.add("blocksim.residue_writes",
                     bs.residue_writes - before[3])
-        if shadow is not None:
-            self._proof_check(shadow, result, max_steps)
         return result
-
-    def _proof_check(self, shadow, result: RunResult,
-                     max_steps: int) -> None:
-        """REPRO_PROOF_CHECK=1: re-run guarded, assert identical outcome.
-
-        The reference simulator shares nothing with this one (no cache,
-        no proofs, no adopted blocks), starts from the snapshot taken
-        before the certified run, and must land on the same final
-        scalars, arrays, cycles, stalls and statistics.
-        """
-        scalars, arrays, cycle, stalls, counts = shadow
-        words, origin = self._loaded
-        ref = BlockSimulator(self.desc)
-        ref.load_words(words, origin)
-        ref.scalars.update(scalars)
-        for name, values in arrays.items():
-            ref.arrays[name][:] = values
-        ref.cycle = cycle
-        ref.stall_cycles = stalls
-        ref._counts[:] = counts
-        ref_result = ref.run(max_steps)
-        if ref_result != result:
-            raise AssertionError(
-                "proof-carrying run diverged from the guarded run:"
-                f" {result!r} != {ref_result!r}"
-            )
-        if ref.scalars != self.scalars or ref.arrays != self.arrays:
-            diff = [
-                name for name in ref.scalars
-                if ref.scalars[name] != self.scalars.get(name)
-            ] + [
-                name for name in ref.arrays
-                if ref.arrays[name] != self.arrays.get(name)
-            ]
-            raise AssertionError(
-                "proof-carrying run diverged from the guarded run in"
-                f" storages {sorted(diff)!r}"
-            )
 
     def _run_loop(self, max_steps: int) -> RunResult:
         scalars, arrays = self.scalars, self.arrays
@@ -999,8 +814,6 @@ class BlockSimulator(CompiledSimulator):
                 for skipped in block.offsets[count:]:
                     counts[skipped] -= 1
             steps += count
-            if block.segments:
-                bstats.chain_dispatches += 1
             if res:
                 commits = block.residue
                 for due_off, slot, index, value in res:
@@ -1016,88 +829,6 @@ class BlockSimulator(CompiledSimulator):
             commit(scalars, arrays, index, value)
         if snapshot is not None:
             self._monitor_sync(snapshot)
-        return RunResult.from_stats(self.stats, "halted")
-
-    def _run_loop_certified(self, max_steps: int) -> RunResult:
-        """The guard-free driver, enabled by a valid DeoptFreedom proof.
-
-        The proof guarantees every reachable write has latency ≤ 1 (no
-        write outlives its block, so ``res`` stays empty and nothing is
-        ever pending at a dispatch boundary) and every block compiles
-        without deopt sentinels for decode reasons the proof covers.
-        The per-instruction fallback is kept for the step-budget edge
-        and for defensive sentinels; it drains its own writes
-        immediately, which latency ≤ 1 makes complete.
-        """
-        scalars, arrays = self.scalars, self.arrays
-        pending = self._pending
-        origin = self._origin
-        pc_name = self._pc
-        halt = self._halt
-        pc_mask = mask(self._widths[pc_name])
-        blocks = self._blocks.blocks
-        bstats = self.block_stats
-        counts, dispatches = self._counts, self._dispatches
-        steps = 0
-        res: List = []
-        n_words = len(self._program)
-        while True:
-            if halt is not None and scalars.get(halt, 0):
-                break
-            if steps >= max_steps:
-                raise SimulationError(
-                    f"program did not halt within {max_steps} steps"
-                )
-            address = scalars[pc_name]
-            offset = address - origin
-            if not 0 <= offset < n_words:
-                raise SimulationError(
-                    f"PC 0x{address:x} outside the loaded program"
-                )
-            block = blocks[offset]
-            if block is None:
-                block = self._compile_block(offset)
-                blocks[offset] = block
-                bstats.misses += 1
-            else:
-                bstats.hits += 1
-            if block.fn is None or steps + block.n > max_steps:
-                bstats.deopts += 1
-                bstats.interp_steps += 1
-                self._interp_step(offset, address, pc_mask)
-                while pending and pending[0][0] <= self.cycle:
-                    _, _, _, commit, index, value = heapq.heappop(pending)
-                    commit(scalars, arrays, index, value)
-                steps += 1
-                continue
-            entry = self.cycle
-            cyc_off, stall_off, count = block.fn(scalars, arrays, res)
-            self.cycle = entry + cyc_off
-            self.stall_cycles += stall_off
-            dispatches[offset] += 1
-            if count != block.n:
-                # a halt left the block early: uncount what it skipped
-                for skipped in block.offsets[count:]:
-                    counts[skipped] -= 1
-            steps += count
-            if block.segments:
-                bstats.chain_dispatches += 1
-            if res:  # unreachable under the proof; stay correct anyway
-                commits = block.residue
-                for due_off, slot, index, value in res:
-                    self._seq += 1
-                    heapq.heappush(pending, (
-                        entry + due_off, self._seq, 1,
-                        commits[slot], index, value,
-                    ))
-                bstats.residue_writes += len(res)
-                del res[:]
-                while pending and pending[0][0] <= self.cycle:
-                    _, _, _, commit, index, value = heapq.heappop(pending)
-                    commit(scalars, arrays, index, value)
-        while pending:
-            _, _, _, commit, index, value = heapq.heappop(pending)
-            commit(scalars, arrays, index, value)
         return RunResult.from_stats(self.stats, "halted")
 
     def _interp_step(self, offset: int, address: int,

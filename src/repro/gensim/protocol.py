@@ -1,13 +1,14 @@
 """The common simulator surface shared by every backend.
 
-The repo grew two cycle-accurate, bit-true executors — the generated
-interpretive/fast-core :class:`~repro.gensim.xsim.XSim` and the
-program-specialized :class:`~repro.gensim.compiled.CompiledSimulator` —
-and exploration/benchmark code used to special-case the pair.  The
+:func:`simulator_for` builds four cycle-accurate, bit-true backends:
+``xsim`` (:class:`~repro.gensim.xsim.XSim` on the generated fast core),
+``interpretive`` (the same XSim on the reference core that walks the RTL
+AST), ``compiled`` (the program-specialized
+:class:`~repro.gensim.compiled.CompiledSimulator`) and ``block`` (the
+basic-block JIT :class:`~repro.gensim.blocksim.BlockSimulator`).  The
 :class:`Simulator` protocol pins down the surface they share: load a
 program, reset, run to completion, examine/set state, read statistics.
-Code written against the protocol runs unchanged on either backend (and
-on any future one, e.g. a JIT or a remote simulation service).
+Code written against the protocol runs unchanged on every backend.
 """
 
 from __future__ import annotations

@@ -1,25 +1,11 @@
-"""Tests for the worklist dataflow engine and its proof certificates."""
-
-import dataclasses
+"""Tests for the worklist dataflow engine and the program facts."""
 
 import pytest
 
-from repro.analyze.dataflow import (
-    MAX_CHAIN_LEN,
-    DeoptFreedom,
-    check_deopt_freedom,
-    check_superblock_chains,
-    derive_deopt_freedom,
-    derive_superblock_chains,
-    fixpoint,
-    program_facts,
-    words_digest,
-)
+from repro.analyze.dataflow import fixpoint, program_facts, words_digest
 from repro.arch import description_for
 from repro.arch.workloads import all_workloads, risc16_sum_loop
 from repro.asm import Assembler
-from repro.cache import ArtifactCache
-from repro.isdl import load_string
 
 
 def _assemble(desc, source):
@@ -28,7 +14,7 @@ def _assemble(desc, source):
 
 
 #: splits the hot loop across three blocks joined by unconditional
-#: jumps — the canonical superblock-fusion candidate
+#: jumps
 CHAIN_SOURCE = """
         ldi r0, #50
         ldi r1, #0
@@ -138,152 +124,3 @@ def test_every_workload_has_complete_facts():
         facts = program_facts(desc, words, origin, name=workload.name)
         assert facts.complete, workload.name
         assert facts.blocks, workload.name
-
-
-# ---------------------------------------------------------------------------
-# Certificates and their checkers
-# ---------------------------------------------------------------------------
-
-
-def test_deopt_freedom_derives_and_checks(risc16_desc):
-    words, origin = _assemble(risc16_desc, CHAIN_SOURCE)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_deopt_freedom(risc16_desc, facts)
-    assert cert is not None
-    assert check_deopt_freedom(risc16_desc, words, origin, cert)
-
-
-def test_deopt_freedom_refused_for_long_latency(spam_desc):
-    # SPAM's fp pipes write with latency > 1: a write can outlive its
-    # block, so the guard-free loop would be unsound
-    source = "fadd r1, r2, r3\nhalt\n"
-    words, origin = _assemble(spam_desc, source)
-    facts = program_facts(spam_desc, words, origin)
-    assert derive_deopt_freedom(spam_desc, facts) is None
-
-
-def test_checker_rejects_wrong_program(risc16_desc):
-    words, origin = _assemble(risc16_desc, CHAIN_SOURCE)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_deopt_freedom(risc16_desc, facts)
-    tampered = words[:-1] + (words[0],)
-    assert not check_deopt_freedom(risc16_desc, tampered, origin, cert)
-
-
-def test_checker_rejects_wrong_description(risc16_desc, spam2_desc):
-    words, origin = _assemble(risc16_desc, CHAIN_SOURCE)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_deopt_freedom(risc16_desc, facts)
-    assert not check_deopt_freedom(spam2_desc, words, origin, cert)
-
-
-def test_checker_rejects_unclosed_cover(risc16_desc):
-    words, origin = _assemble(risc16_desc, CHAIN_SOURCE)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_deopt_freedom(risc16_desc, facts)
-    # drop a reachable block from the cover: no longer successor-closed
-    holey = dataclasses.replace(
-        cert, blocks=tuple(b for b in cert.blocks if b != 4)
-    )
-    assert not check_deopt_freedom(risc16_desc, words, origin, holey)
-
-
-def test_superblock_chains_derive_and_check(risc16_desc):
-    words, origin = _assemble(risc16_desc, CHAIN_SOURCE)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_superblock_chains(risc16_desc, facts)
-    # prologue->loop->body, plus the loop re-entry chain (overlap is
-    # superblock tail duplication)
-    assert cert.chains == ((0, 4, 6), (4, 6))
-    assert check_superblock_chains(risc16_desc, words, origin, cert)
-    for chain in cert.chains:
-        total = sum(len(facts.blocks[s].offsets) for s in chain)
-        assert total <= MAX_CHAIN_LEN
-
-
-def test_chain_checker_rejects_broken_link(risc16_desc):
-    words, origin = _assemble(risc16_desc, CHAIN_SOURCE)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_superblock_chains(risc16_desc, facts)
-    bogus = dataclasses.replace(cert, chains=((0, 6),))  # skips block 4
-    assert not check_superblock_chains(risc16_desc, words, origin, bogus)
-
-
-def test_no_chains_without_unconditional_links(risc16_desc):
-    words, origin = _assemble(risc16_desc, risc16_sum_loop(5).source)
-    facts = program_facts(risc16_desc, words, origin)
-    cert = derive_superblock_chains(risc16_desc, facts)
-    assert cert.chains == ()  # only a conditional branch: nothing fuses
-
-
-# ---------------------------------------------------------------------------
-# Incremental (delta-aware) analysis
-# ---------------------------------------------------------------------------
-
-_MINI_TEMPLATE = '''
-processor "MINI"
-
-section format
-    word 16
-end
-
-section global_definitions
-    token REG prefix "R" range 0 .. 3
-    token IMM4 immediate unsigned width 4
-end
-
-section storage
-    instruction_memory IM width 16 depth 64
-    register_file RF width 8 depth 4
-    control_register HALTED width 1
-    program_counter PC width 6
-end
-
-section instruction_set
-    field EX
-        operation nop()
-            encoding { bits[15:12] = 0b0000 }
-        operation addi(d: REG, a: REG, v: IMM4)
-            encoding { bits[15:12] = 0b0001; bits[11:10] = d;
-                       bits[9:8] = a; bits[7:4] = v }
-            action { RF[d] <- RF[a] + %s; }
-        operation halt()
-            encoding { bits[15:12] = 0b1111 }
-            action { HALTED <- 1; }
-    end
-end
-
-section optional
-    attribute halt_flag "HALTED"
-end
-'''
-
-
-def test_incremental_reuses_untouched_per_op_facts():
-    parent = load_string(_MINI_TEMPLATE % "v", filename="mini.isdl")
-    child = load_string(_MINI_TEMPLATE % "(v + 0)", filename="mini2.isdl")
-    cache = ArtifactCache()
-    words, origin = _assemble(parent, "nop\naddi R1, R0, 3\nhalt\n")
-    warm = program_facts(parent, words, origin, cache=cache)
-    assert warm.reuse_counts == {"instr_reused": 0, "instr_computed": 3}
-    # only addi's definition changed: nop and halt facts carry over
-    delta = program_facts(child, words, origin, cache=cache, parent=parent)
-    assert delta.reuse_counts == {"instr_reused": 2, "instr_computed": 1}
-    assert delta.instr[0] == warm.instr[0]
-    assert delta.instr[2] == warm.instr[2]
-    assert cache.stats.units_reused["facts"] == 2
-    assert cache.stats.units_rebuilt["facts"] == 1
-    assert cache.stats.incremental_builds["facts"] == 1
-
-
-def test_incremental_equals_cold(monkeypatch):
-    # the shadow cold build inside program_facts asserts the delta-built
-    # facts identical to a from-scratch analysis
-    monkeypatch.setenv("REPRO_INCREMENTAL_CHECK", "1")
-    parent = load_string(_MINI_TEMPLATE % "v", filename="mini.isdl")
-    child = load_string(_MINI_TEMPLATE % "(v + 0)", filename="mini2.isdl")
-    cache = ArtifactCache()
-    words, origin = _assemble(parent, "nop\naddi R1, R0, 3\nhalt\n")
-    program_facts(parent, words, origin, cache=cache)
-    delta = program_facts(child, words, origin, cache=cache, parent=parent)
-    assert delta.reuse_counts == {"instr_reused": 2, "instr_computed": 1}

@@ -477,7 +477,7 @@ def obs_on():
 KERNELS = ["sum:10", "blockmove:8"]
 
 
-@pytest.mark.parametrize("backend", ["xsim", "compiled"])
+@pytest.mark.parametrize("backend", ["xsim", "compiled", "block"])
 def test_one_evaluate_builds_one_signature_table(obs_on, backend):
     with obs.capture() as cap:
         evaluation = evaluate(description_for("spam"),
@@ -485,26 +485,3 @@ def test_one_evaluate_builds_one_signature_table(obs_on, backend):
                               cache=ArtifactCache(), sim_backend=backend)
     assert evaluation.feasible
     assert cap.snapshot.counters["sigtable.builds"] == 1
-
-
-def test_block_backend_adds_only_the_certificate_checkers_tables(
-        obs_on, monkeypatch):
-    # the dataflow facts decode on the evaluation's table; the independent
-    # certificate checker re-derives everything, its own table included
-    from repro.analyze import dataflow
-
-    checks = []
-    checker = dataflow._checker_instr
-
-    def counted(*args):
-        checks.append(args)
-        return checker(*args)
-
-    monkeypatch.setattr(dataflow, "_checker_instr", counted)
-    with obs.capture() as cap:
-        evaluation = evaluate(description_for("spam"),
-                              resolve_kernels(KERNELS),
-                              cache=ArtifactCache(), sim_backend="block")
-    assert evaluation.feasible
-    assert checks
-    assert cap.snapshot.counters["sigtable.builds"] == 1 + len(checks)

@@ -23,7 +23,10 @@ from repro.arch.workloads import (
 )
 from repro.asm import Assembler
 from repro.cache import ArtifactCache
+from repro.codegen import Compiler
+from repro.codegen.kernels import resolve_kernels
 from repro.errors import SimulationError
+from repro.explore import evaluate
 from repro.gensim import MonitorSet, Simulator, XSim, simulator_for
 from repro.gensim.blocksim import BlockSimulator
 from repro.gensim.compiled import CompiledSimulator
@@ -67,16 +70,15 @@ def assert_state_matches(arch, sim, reference):
 )
 def test_matches_interpretive_simulator(arch, workload):
     reference = run_workload(workload)
-    for proofs in (False, True):
-        block, result = run_block(workload, proofs=proofs)
-        assert result.cycles == reference.stats.cycles
-        assert result.instructions == reference.stats.instructions
-        assert result.stall_cycles == reference.stats.stall_cycles
-        assert (result.op_counts, result.field_busy) == (
-            reference.stats.op_counts, reference.stats.field_busy
-        ), f"proofs={proofs}"
-        assert result.halt_reason == "halted"
-        assert_state_matches(arch, block, reference)
+    block, result = run_block(workload)
+    assert result.cycles == reference.stats.cycles
+    assert result.instructions == reference.stats.instructions
+    assert result.stall_cycles == reference.stats.stall_cycles
+    assert (result.op_counts, result.field_busy) == (
+        reference.stats.op_counts, reference.stats.field_busy
+    )
+    assert result.halt_reason == "halted"
+    assert_state_matches(arch, block, reference)
 
 
 @settings(max_examples=12, deadline=None)
@@ -296,6 +298,25 @@ def test_block_table_shared_through_artifact_cache(risc16_desc):
     # The second simulator found every block pre-compiled.
     assert sims[1].block_stats.misses == 0
     assert sims[0].read("DM", 0) == sims[1].read("DM", 0)
+
+
+def test_evaluate_shares_its_block_table_with_the_simulator(spam_desc):
+    # evaluate's block backend is the simulator simulator_for builds, so
+    # a simulator loading the same words finds every block it dispatches
+    # already compiled by the evaluation
+    cache = ArtifactCache()
+    kernels = resolve_kernels(["sum:10", "blockmove:8"])
+    evaluation = evaluate(spam_desc, kernels, cache=cache,
+                          sim_backend="block")
+    assert evaluation.feasible
+    compiler = Compiler(spam_desc)
+    for kernel in kernels:
+        program = compiler.compile_to_words(kernel)
+        sim = BlockSimulator(spam_desc, cache=cache)
+        sim.load_words(program.words, program.origin)
+        sim.run()
+        assert sim.block_stats.hits > 0, kernel.name
+        assert sim.block_stats.misses == 0, kernel.name
 
 
 def test_deopt_sentinel_on_unsupported_block(risc16_desc, monkeypatch):

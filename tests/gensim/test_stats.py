@@ -2,10 +2,10 @@
 
 Each simulator counts how many times each program address executed and
 :meth:`SimulationStats.from_counts` derives the utilization counters from
-those counts, so the five executors — XSim on the generated and on the
-interpretive core, the compiled simulator, and the block simulator guarded
-and certified — must agree on every statistic, and must fail the same way
-where the reference fails.
+those counts, so the four executors — XSim on the generated and on the
+interpretive core, the compiled simulator, and the block simulator — must
+agree on every statistic, and must fail the same way where the reference
+fails.
 """
 
 from collections import Counter
@@ -19,20 +19,13 @@ from repro.codegen.kernels import resolve_kernels
 from repro.errors import SimulationError, StateError
 from repro.explore.transforms import resize_memory
 from repro.gensim import SimulationStats, XSim, simulator_for
-from repro.gensim.blocksim import BlockSimulator
 from repro.isdl import load_string
 
-EXECUTORS = ("xsim", "interpretive", "compiled", "block", "certified")
+EXECUTORS = ("xsim", "interpretive", "compiled", "block")
 FAST = ("xsim", "compiled", "block")
 FIELDS = ("cycles", "stall_cycles", "instructions", "op_counts",
           "field_busy")
 KERNELS = ("sum:10", "blockmove:8", "sum:255", "blockmove:64")
-
-
-def _simulator(desc, executor):
-    if executor == "certified":
-        return BlockSimulator(desc, proofs=True)
-    return simulator_for(desc, executor)
 
 
 def _cases():
@@ -56,7 +49,7 @@ def test_every_executor_reports_identical_statistics(arch, case):
     program, preload = _program(desc, case)
     seen = {}
     for executor in EXECUTORS:
-        sim = _simulator(desc, executor)
+        sim = simulator_for(desc, executor)
         for storage, contents in preload.items():
             for index, value in contents.items():
                 sim.write(storage, value, index)
@@ -130,7 +123,7 @@ def test_non_halting_error_text_is_shared(risc16_desc):
     program = Assembler(risc16_desc).assemble("loop: jmp loop\n")
     messages = set()
     for executor in EXECUTORS:
-        sim = _simulator(risc16_desc, executor)
+        sim = simulator_for(risc16_desc, executor)
         sim.load_words(program.words)
         with pytest.raises(SimulationError) as info:
             sim.run_to_completion(50)
