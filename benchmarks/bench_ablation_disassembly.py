@@ -1,9 +1,10 @@
 """Ablation — off-line disassembly (paper §3.1).
 
 "They also provide fast execution times and perform disassembly off-line to
-improve speed."  Measured: the generated simulator with its load-time
-disassembly versus a variant that re-decodes the fetched instruction word
-on every cycle (what a naive interpretive simulator does).
+improve speed."  Measured: the generated simulator, which decodes each word
+and binds its operands once at load time, versus a variant that re-decodes
+and re-binds the fetched instruction word on every cycle (what a naive
+interpretive simulator does).
 """
 
 import pytest
@@ -30,7 +31,8 @@ def _fresh():
 
 
 def _run_online_decode(sim):
-    """Execute with per-fetch decoding instead of the load-time tables."""
+    """Execute with per-fetch decoding and binding instead of the records
+    prepared at load time."""
     scheduler = sim.scheduler
     program = scheduler.program
     im_name = sim.desc.instruction_memory().name
@@ -45,11 +47,12 @@ def _run_online_decode(sim):
         address = sim.state.pc
         offset = address - program.origin
         scheduler._charge_stalls(offset)
-        # On-line decode: fetch the word and disassemble it NOW.
+        # On-line decode: fetch the word, disassemble it and bind its
+        # operands NOW.
         word = sim.state.read(im_name, address)
         decoded = decoder.disassemble(word)
         prepared = scheduler._prepare(decoded)
-        result = scheduler.core.execute(sim.state, prepared.selections)
+        result = scheduler.core.execute(sim.state, prepared)
         # count the execution the way Scheduler.step does; the statistics
         # are derived from the per-address counts when read
         scheduler.counts[offset] += 1
@@ -73,7 +76,8 @@ def test_offline_disassembly(benchmark):
     _speeds["offline"] = cps
     record(
         "Ablation — off-line disassembly (SPAM)",
-        f"- off-line (decode once at load): **{cps:,.0f} cycles/sec**",
+        f"- off-line (decode and bind once at load): **{cps:,.0f}"
+        " cycles/sec**",
     )
 
 
@@ -87,7 +91,8 @@ def test_online_decode(benchmark):
     _speeds["online"] = cps
     record(
         "Ablation — off-line disassembly (SPAM)",
-        f"- on-line (decode every fetch):   **{cps:,.0f} cycles/sec**",
+        f"- on-line (decode and bind every fetch):   **{cps:,.0f}"
+        " cycles/sec**",
     )
     if "offline" in _speeds:
         gain = _speeds["offline"] / cps

@@ -50,7 +50,6 @@ __all__ = [
     "ArchFacts",
     "program_facts",
     "arch_facts",
-    "words_digest",
 ]
 
 _LAZY = {
@@ -68,7 +67,6 @@ _LAZY = {
     "ArchFacts": "dataflow",
     "program_facts": "dataflow",
     "arch_facts": "dataflow",
-    "words_digest": "dataflow",
 }
 
 

@@ -27,7 +27,6 @@ supplied workload program.
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -44,7 +43,6 @@ from typing import (
 from .. import obs
 from ..encoding.bits import mask
 from ..isdl import ast, rtl
-from ..isdl.fingerprint import fingerprint
 
 __all__ = [
     "fixpoint",
@@ -54,7 +52,6 @@ __all__ = [
     "ArchFacts",
     "program_facts",
     "arch_facts",
-    "words_digest",
 ]
 
 
@@ -367,8 +364,6 @@ class ProgramFacts:
     name: str
     origin: int
     n_words: int
-    #: content digest of ``(origin, words)``
-    digest: str
     #: entry block offset (PC resets to address 0); None when address 0
     #: is outside the loaded image
     entry: Optional[int]
@@ -394,17 +389,11 @@ class ProgramFacts:
 class ArchFacts:
     """Facts for one description across a set of workload programs."""
 
-    desc_fp: str
     programs: Dict[str, ProgramFacts]
 
     @property
     def complete(self) -> bool:
         return all(p.complete for p in self.programs.values())
-
-
-def words_digest(words: Sequence[int], origin: int) -> str:
-    payload = repr((origin, tuple(words))).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
 
 
 def _build_blocks(analyzer: _InstrAnalyzer, instr: Dict[int, InstrFacts],
@@ -623,7 +612,6 @@ def _build_program_facts(desc: ast.Description, words: Sequence[int],
         name=name,
         origin=origin,
         n_words=n_words,
-        digest=words_digest(words, origin),
         entry=entry,
         instr=instr,
         blocks=blocks,
@@ -652,7 +640,6 @@ def arch_facts(desc: ast.Description,
                table=None) -> ArchFacts:
     """Facts for every ``(name, words, origin)`` program under *desc*."""
     return ArchFacts(
-        desc_fp=fingerprint(desc),
         programs={
             name: program_facts(desc, words, origin, name=name, table=table)
             for name, words, origin in programs

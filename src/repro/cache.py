@@ -1,7 +1,7 @@
 """Content-addressed artifact cache for the exploration tool chain.
 
 Every box of the paper's Figure-1 loop regenerates from the single ISDL
-description: signature tables, simulator cores, assembled workload
+description: signature tables, simulation results, assembled workload
 binaries, and synthesized hardware models.  During exploration the same
 description (or large parts of it) is evaluated over and over — the
 incumbent is re-simulated against new candidates, rejected candidates
@@ -71,7 +71,7 @@ class CacheStats:
     misses_by_kind: Counter = field(default_factory=Counter)
     #: artifacts built incrementally off a parent, per kind
     incremental_builds: Counter = field(default_factory=Counter)
-    #: sub-units (rows, routines, node groups, ...) carried over, per kind
+    #: sub-units (rows, node groups, ...) carried over, per kind
     units_reused: Counter = field(default_factory=Counter)
     #: sub-units rebuilt during incremental builds, per kind
     units_rebuilt: Counter = field(default_factory=Counter)
@@ -314,33 +314,6 @@ class ArtifactCache:
             return table
 
         return self.get_or_build("sigtable", fp, build)
-
-    def fast_core(self, desc, fp: Optional[str] = None, *, parent=None):
-        """Memoized :class:`~repro.gensim.fastcore.FastCore`.
-
-        A FastCore is stateless between runs (it only caches compiled
-        per-operation routines), so one instance serves every simulator
-        generated for the same description.  With *parent*, a miss adopts
-        the parent core's compiled routines for delta-unchanged
-        operations instead of recompiling them on first dispatch.
-        """
-        from .gensim.fastcore import FastCore
-
-        fp = fp or self.description_fingerprint(desc)
-
-        def build():
-            parent_core = (
-                self.peek("fastcore", self.description_fingerprint(parent))
-                if parent is not None else None
-            )
-            if parent_core is None:
-                return FastCore(desc)
-            delta = self._parent_delta(parent, desc)
-            core = FastCore(desc, reuse_from=(parent_core, delta))
-            self.note_incremental("fastcore", core.reuse_counts)
-            return core
-
-        return self.get_or_build("fastcore", fp, build)
 
     def assembled(self, desc, kernel, builder: Callable[[], Any],
                   fp: Optional[str] = None, *, parent=None):

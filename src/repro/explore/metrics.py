@@ -9,10 +9,10 @@ iterative-improvement search.
 
 When handed a :class:`repro.cache.ArtifactCache`, the pipeline memoizes
 every generated artifact by the description's structural fingerprint —
-signature tables, fast cores, assembled workload binaries, synthesized
-hardware models, and whole evaluations — so re-measuring a known candidate
-(the common case inside an exploration sweep) costs a lookup instead of a
-tool-chain run.
+signature tables, assembled workload binaries, simulation results,
+synthesized hardware models, and whole evaluations — so re-measuring a
+known candidate (the common case inside an exploration sweep) costs a
+lookup instead of a tool-chain run.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def evaluate(
     mutated from.  It changes nothing about *what* is computed — cache
     keys and results are identical with or without it — but on a cache
     miss the pipeline builds artifacts *incrementally* off the parent's
-    cached ones: signature rows, compiled simulator routines and blocks,
+    cached ones: signature rows, compiled simulator blocks,
     hardware sub-structures, assembled programs, and whole simulation
     results are carried over wherever the fingerprint delta proves the
     relevant description units byte-identical.  Set the
@@ -273,11 +273,7 @@ def _evaluate_uncached(
     except (CodegenError, ReproError) as exc:
         return Evaluation(label, feasible=False, reason=str(exc),
                           weights=weights, fingerprint=fp, **tech_fields)
-    # 2. Simulate every kernel on the generated ILS.  The fast core is a
-    #    pure function of the description too, so with a cache it is
-    #    generated once and shared by every simulator.
-    core = (cache.fast_core(desc, fp, parent=parent)
-            if cache is not None else "generated")
+    # 2. Simulate every kernel on the generated ILS.
     delta = parent_fp = None
     if cache is not None and parent is not None:
         delta = fingerprint_delta(parent, desc)
@@ -308,7 +304,7 @@ def _evaluate_uncached(
                     cache.note_incremental("sim", {"reused": 1})
                     return parent_stats
             if sim_backend == "xsim":
-                sim = XSim(desc, table=table, core=core)
+                sim = XSim(desc, table=table)
             elif sim_backend == "block":
                 from ..gensim.blocksim import BlockSimulator
 

@@ -45,7 +45,7 @@ from ..isdl import ast, rtl
 from ..isdl.fingerprint import fingerprint_delta
 from .cfg import ControlFlowAnalyzer, block_span
 from .compiled import CompiledSimulator, _make_commit
-from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
+from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt, bind_operands
 from .monitors import MonitorSet
 from .render import render_instruction
 from .state import out_of_range
@@ -95,7 +95,6 @@ class CompiledBlock:
     compile is not retried) but every dispatch single-steps instead.
     """
 
-    start: int
     n: int
     fn: Optional[object]
     #: offsets one dispatch executes, in order
@@ -106,9 +105,6 @@ class CompiledBlock:
     storages: FrozenSet[str] = frozenset()
     #: the generated Python source (debugging, tests, reports)
     source: str = ""
-    #: (field, op) pairs decoded in the block's span — the provenance an
-    #: incremental child checks before adopting the block unrecompiled
-    ops: FrozenSet[Tuple[str, str]] = frozenset()
 
 
 class BlockTable:
@@ -265,18 +261,12 @@ class _BlockCompiler:
         code = compile(source, f"<block@{origin + offsets[0]:#x}>", "exec")
         exec(code, namespace)
         return CompiledBlock(
-            start=offsets[0],
             n=len(offsets),
             fn=namespace["_block"],
             offsets=tuple(offsets),
             residue=tuple(self._residue_fns),
             storages=frozenset(storages),
             source=source,
-            ops=frozenset(
-                (dop.field, dop.op_name)
-                for offset in offsets
-                for dop in sim._decoded[offset].operations
-            ),
         )
 
     def _comment(self, offset: int, address: int) -> None:
@@ -396,7 +386,7 @@ class _BlockCompiler:
         per_dop = []
         for dop in decoded.operations:
             op = self.desc.operation(dop.field, dop.op_name)
-            env = self.sim._bind(op.params, dop.operands)
+            env = bind_operands(self.desc, op.params, dop.operands)
             delay = op.timing.latency - 1
             cenv = self._emit_env(env, retire_off, prologues=True)
             for stmt in op.action:
@@ -685,7 +675,7 @@ class BlockSimulator(CompiledSimulator):
 
     def _compile_block(self, start: int) -> CompiledBlock:
         span = block_span(self._flows, start)
-        deopt = CompiledBlock(start=start, n=1, fn=None)
+        deopt = CompiledBlock(n=1, fn=None)
         if not span:
             return deopt
         for offset in span:

@@ -27,7 +27,13 @@ from .. import obs
 from ..encoding.bits import mask, set_bits
 from ..errors import SimulationError
 from ..isdl import ast, rtl
-from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
+from .core import (
+    INTRINSIC_IMPLS,
+    _BINOPS,
+    BoundNt,
+    bind_operands,
+    instruction_cycles,
+)
 from .disassembler import DecodedInstruction, Disassembler
 from .hazards import HazardAnalyzer
 from .state import check_fits, out_of_range
@@ -177,12 +183,12 @@ class CompiledSimulator:
         """Compile one decoded instruction to (closure, cycles, size)."""
         stmt_fns: List[StmtFn] = []
         side_fns: List[StmtFn] = []
-        cycles = 0
+        bound_ops = []
         size = 1
         for dop in decoded.operations:
             op = self.desc.operation(dop.field, dop.op_name)
-            env = self._bind(op.params, dop.operands)
-            cycles = max(cycles, self._instruction_cycles(op, env))
+            env = bind_operands(self.desc, op.params, dop.operands)
+            bound_ops.append((op, env))
             size = max(size, op.costs.size)
             delay = op.timing.latency - 1
             nt_prologue: List[StmtFn] = []
@@ -212,29 +218,7 @@ class CompiledSimulator:
             for fn in fns:
                 fn(scalars, arrays, sink)
 
-        return execute, max(cycles, 1), size
-
-    def _instruction_cycles(self, op, env) -> int:
-        cycles = op.costs.cycle
-        for bound in env.values():
-            if isinstance(bound, BoundNt):
-                cycles += bound.option.costs.cycle
-        return cycles
-
-    def _bind(self, params, operands):
-        env = {}
-        for param in params:
-            ptype = self.desc.param_type(param)
-            operand = operands[param.name]
-            if isinstance(ptype, ast.TokenDef):
-                env[param.name] = operand
-            else:
-                label, sub = operand
-                option = ptype.option(label)
-                env[param.name] = BoundNt(
-                    ptype, option, self._bind(option.params, sub)
-                )
-        return env
+        return execute, instruction_cycles(bound_ops), size
 
     # ------------------------------------------------------------------
     # Closure compilation

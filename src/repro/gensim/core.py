@@ -2,7 +2,11 @@
 
 Each operation and non-terminal option carries an RTL action and side-effect
 block.  GENSIM translates those into routines; this module is the routine
-library.  The book-keeping guarantees of the paper are implemented here:
+library.  What GENSIM's off-line disassembly makes static is resolved once
+per loaded instruction — its operands bound (:func:`bind_operands`) and its
+cycle cost summed (:func:`instruction_cycles`) — so an execution only
+evaluates RTL.  The book-keeping guarantees of the paper are implemented
+here:
 
 * **read-before-write** — the cycle is split into an evaluation phase, in
   which every RTL statement reads the *old* state and computes its result
@@ -18,13 +22,16 @@ library.  The book-keeping guarantees of the paper are implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from .. import fp
 from ..encoding.bits import mask, sign_extend
 from ..errors import SimulationError
 from ..isdl import ast, rtl
 from .state import State
+
+if TYPE_CHECKING:
+    from .scheduler import PreparedInstruction
 
 # ---------------------------------------------------------------------------
 # Intrinsic implementations
@@ -129,10 +136,12 @@ class ExecutionResult:
 
 
 class BoundNt:
-    """A non-terminal operand bound for one execution.
+    """A non-terminal operand, bound once when its instruction is loaded.
 
     Holds the matched option, the sub-environment of its parameters, and
-    the value its action computed for ``$$``.
+    the value its action computed for ``$$``.  The value is per execution:
+    each execution runs the option's action, which rewrites it before
+    anything reads it.
     """
 
     __slots__ = ("nt", "option", "env", "value")
@@ -144,41 +153,76 @@ class BoundNt:
         self.value = 0
 
 
-class ProcessingCore:
-    """Executes decoded operations against a :class:`State`."""
+def bind_operands(desc: ast.Description, params,
+                  operands) -> Dict[str, object]:
+    """Bind decoded operands to the parameters they fill.
 
-    def __init__(self, desc: ast.Description):
-        self.desc = desc
+    A token operand binds to its value; a non-terminal operand binds to a
+    :class:`BoundNt` over its matched option, whose own parameters are
+    bound recursively.  Every simulator backend and the hazard analyzer
+    bind through here.
+    """
+    env: Dict[str, object] = {}
+    for param in params:
+        ptype = desc.param_type(param)
+        operand = operands[param.name]
+        if isinstance(ptype, ast.TokenDef):
+            env[param.name] = operand
+        else:
+            label, sub_operands = operand
+            option = ptype.option(label)
+            env[param.name] = BoundNt(
+                ptype, option,
+                bind_operands(desc, option.params, sub_operands),
+            )
+    return env
+
+
+def instruction_cycles(bound) -> int:
+    """Cycle cost of one instruction from its ``(operation, env)`` pairs.
+
+    Each operation costs its own cycles plus those of the options bound
+    to its parameters; the instruction costs the largest of these, and
+    at least one cycle.
+    """
+    cycles = 1
+    for op, env in bound:
+        cost = op.costs.cycle
+        for operand in env.values():
+            if isinstance(operand, BoundNt):
+                cost += operand.option.costs.cycle
+        cycles = max(cycles, cost)
+    return cycles
+
+
+class ProcessingCore:
+    """Executes prepared instructions against a :class:`State`."""
 
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
 
     def execute(
-        self,
-        state: State,
-        selections: List[Tuple[ast.Operation, Dict[str, object]]],
+        self, state: State, prepared: "PreparedInstruction"
     ) -> ExecutionResult:
-        """Execute the operations of one instruction (one per field).
+        """Execute one instruction (one operation per field).
 
-        *selections* holds ``(operation, operands)`` pairs; operands are the
-        decoded-operand trees of :mod:`repro.encoding.signature`.
+        *prepared* carries the operands bound and the cycle cost summed
+        once at load time (:meth:`Scheduler._prepare
+        <repro.gensim.scheduler.Scheduler._prepare>`), so only the RTL is
+        evaluated here.  Each bound option's action recomputes its
+        ``$$`` before anything of this execution reads it.
         """
-        result = ExecutionResult(cycles=0)
-        bound_list = []
-        for op, operands in selections:
-            env = self._bind(op.params, operands)
-            bound_list.append((op, env))
-            result.cycles = max(result.cycles, self._total_cycles(op, env))
+        result = ExecutionResult(cycles=prepared.cycles)
         # Action-evaluation phase: every read sees the pre-cycle state
         # because writes only accumulate in the pending lists.  Each
         # operation's bound options run their actions first.
-        for op, env in bound_list:
+        for op, env in prepared.bound:
             self._run_nt_actions(state, env, result.action_writes)
             delay = op.timing.latency - 1
             self._run_block(state, op.action, env, result.action_writes, delay)
         # Side-effect-evaluation phase (still the same cycle).
-        for op, env in bound_list:
+        for op, env in prepared.bound:
             delay = op.timing.latency - 1
             self._run_block(
                 state, op.side_effect, env, result.side_effect_writes, delay
@@ -193,35 +237,7 @@ class ProcessingCore:
                         result.side_effect_writes,
                         nt_delay,
                     )
-        if result.cycles <= 0:
-            result.cycles = 1
         return result
-
-    def _total_cycles(self, op: ast.Operation, env) -> int:
-        """Operation cycle cost plus the costs of its bound NT options."""
-        cycles = op.costs.cycle
-        for bound in env.values():
-            if isinstance(bound, BoundNt):
-                cycles += bound.option.costs.cycle
-        return max(cycles, 1)
-
-    # ------------------------------------------------------------------
-    # Operand binding
-    # ------------------------------------------------------------------
-
-    def _bind(self, params, operands) -> Dict[str, object]:
-        env: Dict[str, object] = {}
-        for param in params:
-            ptype = self.desc.param_type(param)
-            operand = operands[param.name]
-            if isinstance(ptype, ast.TokenDef):
-                env[param.name] = operand
-            else:
-                label, sub_operands = operand
-                option = ptype.option(label)
-                sub_env = self._bind(option.params, sub_operands)
-                env[param.name] = BoundNt(ptype, option, sub_env)
-        return env
 
     def _run_nt_actions(self, state, env, sink: List[PendingWrite]) -> None:
         """Run the action of every option bound in *env*, nested first.

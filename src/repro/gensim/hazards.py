@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..isdl import ast, rtl
-from .core import INTRINSIC_IMPLS, _BINOPS
+from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt, bind_operands
 from .disassembler import DecodedInstruction
 
 #: A static access: (storage, element-index or None for unknown/whole).
@@ -90,21 +90,19 @@ class HazardAnalyzer:
         usage: List[Tuple[str, int]] = []
         for dop in decoded.operations:
             op = self.desc.operation(dop.field, dop.op_name)
-            env = self._bind(op.params, dop.operands)
+            # a bound option is not an int, so indexes it feeds are dynamic
+            env = bind_operands(self.desc, op.params, dop.operands)
             self._scan_blocks(
                 list(op.action) + list(op.side_effect),
                 env, reads, writes,
                 op.timing.latency, op.costs.stall,
             )
-            for param in op.params:
-                ptype = self.desc.param_type(param)
-                if isinstance(ptype, ast.NonTerminal):
-                    label, sub_operands = dop.operands[param.name]
-                    option = ptype.option(label)
-                    sub_env = self._bind(option.params, sub_operands)
+            for operand in env.values():
+                if isinstance(operand, BoundNt):
+                    option = operand.option
                     self._scan_blocks(
                         list(option.action) + list(option.side_effect),
-                        sub_env, reads, writes,
+                        operand.env, reads, writes,
                         option.timing.latency, op.costs.stall,
                     )
             if op.action:
@@ -114,17 +112,6 @@ class HazardAnalyzer:
         )
         self._profile_cache[key] = profile
         return profile
-
-    def _bind(self, params, operands) -> Dict[str, object]:
-        env: Dict[str, object] = {}
-        for param in params:
-            ptype = self.desc.param_type(param)
-            value = operands[param.name]
-            if isinstance(ptype, ast.TokenDef):
-                env[param.name] = value
-            else:
-                env[param.name] = None  # NT values are dynamic
-        return env
 
     def _scan_blocks(self, stmts, env, reads, writes, latency, cap) -> None:
         for stmt in rtl.walk_stmts(stmts):

@@ -1,9 +1,9 @@
 """The common simulator surface shared by every backend.
 
-:func:`simulator_for` builds four cycle-accurate, bit-true backends:
-``xsim`` (:class:`~repro.gensim.xsim.XSim` on the generated fast core),
-``interpretive`` (the same XSim on the reference core that walks the RTL
-AST), ``compiled`` (the program-specialized
+:func:`simulator_for` builds three cycle-accurate, bit-true backends:
+``xsim`` (:class:`~repro.gensim.xsim.XSim`, the reference processing core
+over instructions bound at load time; ``interpretive`` names the same
+simulator), ``compiled`` (the program-specialized
 :class:`~repro.gensim.compiled.CompiledSimulator`) and ``block`` (the
 basic-block JIT :class:`~repro.gensim.blocksim.BlockSimulator`).  The
 :class:`Simulator` protocol pins down the surface they share: load a
@@ -54,18 +54,16 @@ class Simulator(Protocol):
 def simulator_for(desc, backend: str = "xsim", **kwargs) -> "Simulator":
     """Build a simulator for *desc* by backend name.
 
-    ``"xsim"`` (generated fast core), ``"interpretive"`` (XSim walking the
-    RTL AST), ``"compiled"`` (program-specialized closures) or ``"block"``
+    ``"xsim"`` or its other name ``"interpretive"`` (the reference core),
+    ``"compiled"`` (program-specialized closures) or ``"block"``
     (basic-block JIT over exec-generated Python).
     """
     from .blocksim import BlockSimulator
     from .compiled import CompiledSimulator
     from .xsim import XSim
 
-    if backend == "xsim":
+    if backend in ("xsim", "interpretive"):
         return XSim(desc, **kwargs)
-    if backend == "interpretive":
-        return XSim(desc, core="interpretive", **kwargs)
     if backend == "compiled":
         return CompiledSimulator(desc, **kwargs)
     if backend == "block":

@@ -29,11 +29,16 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..isdl import ast
-from .core import PendingWrite, ProcessingCore
+from .core import (
+    PendingWrite,
+    ProcessingCore,
+    bind_operands,
+    instruction_cycles,
+)
 from .disassembler import DecodedInstruction
 from .render import render_instruction
 from .state import State, check_fits
@@ -46,7 +51,9 @@ class PreparedInstruction:
     """Per-address execution data resolved once at load time."""
 
     decoded: DecodedInstruction
-    selections: List  # [(Operation, operands)] for the processing core
+    #: ((operation, bound operands), ...) in field order
+    bound: Tuple[Tuple[ast.Operation, Dict[str, object]], ...]
+    cycles: int
     size: int
 
 
@@ -147,13 +154,19 @@ class Scheduler:
             self.state.pc = self.program.origin
 
     def _prepare(self, decoded: DecodedInstruction) -> PreparedInstruction:
-        selections = []
+        """Resolve each operation, bind its operands and sum the cycle
+        cost: the work that off-line disassembly lets a load do once."""
+        bound = []
         size = 1
         for dop in decoded.operations:
             op = self.desc.operation(dop.field, dop.op_name)
-            selections.append((op, dop.operands))
+            bound.append(
+                (op, bind_operands(self.desc, op.params, dop.operands))
+            )
             size = max(size, op.costs.size)
-        return PreparedInstruction(decoded, selections, size)
+        return PreparedInstruction(
+            decoded, tuple(bound), instruction_cycles(bound), size
+        )
 
     # ------------------------------------------------------------------
     # Halt / status
@@ -219,7 +232,7 @@ class Scheduler:
         offset = address - self.program.origin
         self._charge_stalls(offset)
         prepared = self._fetch(offset, address)
-        result = self.core.execute(self.state, prepared.selections)
+        result = self.core.execute(self.state, prepared)
         self.counts[offset] += 1
         if self.trace is not None:
             self.trace.emit(TraceRecord(

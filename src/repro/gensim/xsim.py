@@ -5,7 +5,9 @@ bit-true by construction, with off-line disassembly at load time, state
 monitors, breakpoints with attached commands, and execution-trace output.
 It wires together the six parts of paper Fig. 2 — user interface / file I/O
 (:mod:`repro.gensim.cli`), scheduler, state monitors, state, disassembler,
-and processing core.
+and processing core.  Loading does every per-instruction resolution once:
+each word is decoded, its operands are bound and its cycle cost is summed,
+so a run only evaluates RTL (:class:`~repro.gensim.core.ProcessingCore`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from ..encoding.signature import SignatureTable
 from ..errors import SimulationError
 from ..isdl import ast
 from .core import ProcessingCore
-from .fastcore import FastCore
 from .disassembler import Disassembler
 from .hazards import HazardAnalyzer
 from .monitors import Monitor
@@ -31,27 +32,11 @@ class XSim:
     """A generated instruction-level simulator for one ISDL description."""
 
     def __init__(self, desc: ast.Description,
-                 table: Optional[SignatureTable] = None,
-                 core: str = "generated"):
-        """*core* selects the processing-core implementation:
-        ``"generated"`` (default) uses the compiled per-operation routines
-        of :class:`~repro.gensim.fastcore.FastCore` — the analogue of
-        GENSIM's generated C; ``"interpretive"`` walks the RTL AST on
-        every execution (the reference implementation, used by the
-        processing-core ablation benchmark).  A prebuilt core object (a
-        :class:`FastCore` shared through :class:`repro.cache.ArtifactCache`)
-        may be passed instead of a name."""
+                 table: Optional[SignatureTable] = None):
         self.desc = desc
         self.table = table or SignatureTable(desc)
         self.state = State(desc)
-        if core == "generated":
-            self.core = FastCore(desc)
-        elif core == "interpretive":
-            self.core = ProcessingCore(desc)
-        elif isinstance(core, str):
-            raise ValueError(f"unknown core {core!r}")
-        else:
-            self.core = core
+        self.core = ProcessingCore()
         self.disassembler = Disassembler(desc, self.table)
         self.hazards = HazardAnalyzer(desc)
         self.scheduler = Scheduler(desc, self.state, self.core)
@@ -62,7 +47,8 @@ class XSim:
     # ------------------------------------------------------------------
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> LoadedProgram:
-        """Load raw instruction words; disassembles the program off-line."""
+        """Load raw instruction words; disassembles the program off-line
+        and binds each instruction's operands."""
         decoded = [self.disassembler.disassemble(word) for word in words]
         stalls = self.hazards.stalls_for_program(decoded)
         program = LoadedProgram(list(words), decoded, stalls, self.desc,

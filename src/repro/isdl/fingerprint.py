@@ -17,7 +17,7 @@ constraint, and attribute sections — taken over the canonical printer's
 per-unit fragments.  Two trees diff in one dictionary pass
 (:func:`fingerprint_delta`), naming exactly which units a mutation
 touched; the delta's predicates are what the incremental builders
-(signature-table row carry-over, simulator-core routine adoption,
+(signature-table row carry-over, compiled-block adoption,
 hardware-synthesis sharing reuse) key their reuse decisions on.
 
 Fingerprints and trees are memoized per AST object: exploration
@@ -247,7 +247,7 @@ class FingerprintDelta:
         """Word format, tokens, and non-terminals all identical.
 
         The environment every encoding/decoding artifact reads: signature
-        rows, decoders, and compiled simulator routines of an *unchanged*
+        rows, decoders, and compiled simulator blocks of an *unchanged*
         operation are identical when this holds.
         """
         return (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze.dataflow import fixpoint, program_facts, words_digest
+from repro.analyze.dataflow import fixpoint, program_facts
 from repro.arch import description_for
 from repro.arch.workloads import all_workloads, risc16_sum_loop
 from repro.asm import Assembler
@@ -99,7 +99,6 @@ def test_sum_loop_facts_are_complete(risc16_desc):
     assert facts.entry == 0
     assert facts.reachable_offsets == frozenset(range(len(words)))
     assert facts.halting is None  # it does halt, but only dynamically
-    assert facts.digest == words_digest(words, origin)
 
 
 def test_chain_program_block_graph(risc16_desc):

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.gensim.core import INTRINSIC_IMPLS, ProcessingCore
+from repro.gensim.disassembler import DecodedInstruction, DecodedOperation
+from repro.gensim.scheduler import Scheduler
 from repro.gensim.state import State
 from repro.isdl import load_string
 
@@ -49,10 +51,20 @@ def swap_desc():
     return load_string(SWAP_ISDL)
 
 
+def prepare(desc, field, *operations):
+    """The load-time record of one instruction made of ``(operation name,
+    operands)`` pairs, all in *field*; operands are decoded-operand trees
+    as the disassembler produces them."""
+    decoded = DecodedInstruction(0, tuple(
+        DecodedOperation(field, name, operands)
+        for name, operands in operations
+    ))
+    return Scheduler(desc, State(desc), ProcessingCore())._prepare(decoded)
+
+
 def execute(desc, state, op_name, operands):
-    core = ProcessingCore(desc)
-    op = desc.operation("EX", op_name)
-    return core.execute(state, [(op, operands)])
+    core = ProcessingCore()
+    return core.execute(state, prepare(desc, "EX", (op_name, operands)))
 
 
 def commit(state, result):
@@ -113,18 +125,18 @@ def test_conditional_branches_choose_arm(swap_desc):
 
 
 def test_vliw_ops_all_read_old_state(risc16_desc):
-    # Not a real VLIW arch, but execute() accepts several selections at
-    # once; both must read pre-cycle state.
+    # Not a real VLIW arch, but an instruction may hold several
+    # operations; both must read pre-cycle state.
     state = State(risc16_desc)
     state.write("RF", 10, 0)
-    core = ProcessingCore(risc16_desc)
-    add = risc16_desc.operation("EX", "add")
+    core = ProcessingCore()
     result = core.execute(
         state,
-        [
-            (add, {"d": 1, "a": 0, "b": ("imm", {"v": 1})}),
-            (add, {"d": 2, "a": 0, "b": ("imm", {"v": 2})}),
-        ],
+        prepare(
+            risc16_desc, "EX",
+            ("add", {"d": 1, "a": 0, "b": ("imm", {"v": 1})}),
+            ("add", {"d": 2, "a": 0, "b": ("imm", {"v": 2})}),
+        ),
     )
     commit(state, result)
     assert state.read("RF", 1) == 11
@@ -136,9 +148,10 @@ def test_nt_action_evaluated_once_per_execution(acc8_desc):
     # though the action references the operand value.
     state = State(acc8_desc)
     state.write("DM", 42, 0)
-    core = ProcessingCore(acc8_desc)
-    add = acc8_desc.operation("OP", "add")
-    result = core.execute(state, [(add, {"m": ("postinc", {})})])
+    core = ProcessingCore()
+    result = core.execute(
+        state, prepare(acc8_desc, "OP", ("add", {"m": ("postinc", {})}))
+    )
     commit(state, result)
     assert state.read("ACC") == 42
     assert state.read("X") == 1
@@ -148,7 +161,7 @@ def test_nt_action_evaluated_once_per_execution(acc8_desc):
 
 def test_division_by_zero_raises(swap_desc):
     state = State(swap_desc)
-    core = ProcessingCore(swap_desc)
+    core = ProcessingCore()
     from repro.isdl import rtl
 
     with pytest.raises(SimulationError):

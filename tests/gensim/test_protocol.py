@@ -135,14 +135,12 @@ def test_compiled_run_reports_halt_reason(risc16_desc, program):
     assert result.halt_reason == "halted"
 
 
-def test_xsim_accepts_prebuilt_core(risc16_desc, program):
+def test_xsim_accepts_prebuilt_table(risc16_desc, program):
     from repro.cache import ArtifactCache
 
     cache = ArtifactCache()
-    core = cache.fast_core(risc16_desc)
     table = cache.signature_table(risc16_desc)
-    sim = XSim(risc16_desc, table=table, core=core)
-    assert sim.core is core
+    sim = XSim(risc16_desc, table=table)
     assert sim.table is table
     load(sim, program)
     assert sim.run_to_completion().cycles > 0

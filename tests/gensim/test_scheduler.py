@@ -240,3 +240,23 @@ def test_stats_track_op_counts_and_utilization(risc16_desc):
     assert stats.cpi >= 1.0
     report = stats.report(risc16_desc)
     assert "cycles" in report and "EX" in report
+
+
+def test_run_binds_no_operands_after_load(monkeypatch):
+    # operands are bound once, when the program is loaded; running a loop
+    # only evaluates RTL over those bindings
+    from repro.gensim import core, scheduler
+
+    workload = risc16_sum_loop(5)
+    sim, length = prepare(workload)
+
+    def bind_operands(*args, **kwargs):
+        raise AssertionError("operands bound during the run")
+
+    for module in (core, scheduler):
+        monkeypatch.setattr(module, "bind_operands", bind_operands)
+    stats = sim.run_to_completion()
+    assert stats.instructions > length  # the loop body ran repeatedly
+    for storage, contents in workload.expected.items():
+        for index, value in contents.items():
+            assert sim.read(storage, index) == value

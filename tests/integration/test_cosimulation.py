@@ -117,19 +117,17 @@ def test_option_action_runs_once_before_the_operation(op, x_acc):
     # an option's action runs once per execution, before the operation's
     # own action, whether or not the operation reads the operand — on the
     # reference interpreter exactly as on the engines and the hardware
-    from repro.gensim import XSim
     from repro.gensim.protocol import simulator_for
 
     desc = _acc8_with_preinc()
     program = Assembler(desc).assemble(f"ldx #3\n{op} +(X)\nhalt\n")
     finals = {}
-    for backend in ("xsim", "interpretive", "compiled", "block"):
+    for backend in ("xsim", "compiled", "block"):
         sim = simulator_for(desc, backend)
         sim.load_words(program.words, program.origin)
         sim.run_to_completion(100)
         finals[backend] = (sim.read("X"), sim.read("ACC"))
     assert set(finals.values()) == {x_acc}, finals
     result = cosimulate(desc, synthesize(desc).netlist, program.words,
-                        program.origin,
-                        xsim=XSim(desc, core="interpretive"))
+                        program.origin)
     assert result.ok, result.mismatches

@@ -186,7 +186,7 @@ def test_cache_counters_reach_registry(spam2_desc):
     cache = ArtifactCache(max_entries=1)
     cache.signature_table(spam2_desc)   # miss
     cache.signature_table(spam2_desc)   # hit
-    cache.fast_core(spam2_desc)         # miss + evicts the sigtable
+    cache.analysis(spam2_desc, lambda: None)  # miss + evicts the sigtable
     counters = obs.registry().snapshot().counters
     assert counters["cache.misses"] == 2
     assert counters["cache.hits"] == 1

@@ -112,11 +112,10 @@ def test_lru_eviction_drops_oldest():
     assert len(cache) == 2
 
 
-def test_signature_table_and_fast_core_shared():
+def test_signature_table_shared():
     cache = ArtifactCache()
     desc = description_for("risc16")
     assert cache.signature_table(desc) is cache.signature_table(desc)
-    assert cache.fast_core(desc) is cache.fast_core(desc)
 
 
 # ----------------------------------------------------------------------
