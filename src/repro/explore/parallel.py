@@ -1,10 +1,11 @@
 """Parallel, cache-backed candidate evaluation for exploration sweeps.
 
 The Figure-1 loop proposes a batch of candidate descriptions per
-iteration and measures each with the full tool chain (compile → assemble
-→ simulate → synthesize → cost).  The measurements are independent, so
-:class:`ParallelEvaluator` fans them out over a ``concurrent.futures``
-pool while keeping the three properties a search loop needs:
+iteration and measures each with the full tool chain (static gate →
+compile → assemble → simulate → synthesize → cost).  The measurements
+are independent, so :class:`ParallelEvaluator` fans them out over a
+``concurrent.futures`` pool while keeping the three properties a search
+loop needs:
 
 * **deterministic ordering** — results come back in submission order, so
   tie-breaking ("first candidate wins at equal cost") matches the serial
@@ -17,6 +18,18 @@ pool while keeping the three properties a search loop needs:
   dispatched and stores every result, so candidates re-proposed in later
   iterations (or whole re-runs of a sweep) are lookups, whatever pool
   mode produced them first.
+
+Both modes measure a candidate through one step
+(:meth:`ParallelEvaluator._measure`): the static validity gate, then the
+tool chain, against one cache, so the evaluation reuses the signature
+table the gate built.  In ``"process"`` mode that step runs in the pool
+workers, each against its own private cache, which therefore also holds
+the gate's ``analysis`` memo.  A batch goes out as one task per worker:
+``min(max_workers, len(jobs))`` interleaved chunks, each pickled whole.
+A task carries, per candidate, its description, label, parent and
+technology point; a round's shared parent, and the sub-objects its
+children share with it, cross once per worker, and each worker builds
+the parent's fingerprint tree once per round.
 
 Modes: ``"process"`` (true parallelism; candidates and results cross
 the boundary by pickling), ``"serial"`` (the seed behaviour; never
@@ -31,7 +44,7 @@ import os
 import traceback
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .. import obs
 from ..analyze.diagnostics import Diagnostic
@@ -43,6 +56,10 @@ from ..tech.model import TechSpec
 from .metrics import CostWeights, Evaluation, evaluate, evaluation_key
 
 __all__ = ["EvalRequest", "EvalResult", "ParallelEvaluator"]
+
+#: what measuring one candidate yields besides its error message: the
+#: evaluation, or the gate's diagnostics when it rejected the candidate
+Outcome = Union[Evaluation, Tuple[Diagnostic, ...]]
 
 
 @dataclass
@@ -95,7 +112,7 @@ class EvalResult:
 # ----------------------------------------------------------------------
 # Process-pool worker side.  Workers are long-lived (one pool per
 # evaluator); the kernels/settings land once via the initializer and each
-# worker keeps a private artifact cache for intra-worker reuse.
+# worker measures through a serial evaluator over a private artifact cache.
 # ----------------------------------------------------------------------
 
 _WORKER_STATE: dict = {}
@@ -105,13 +122,13 @@ def _pool_init(kernels: Sequence[Kernel], max_steps: int,
                weights: Optional[CostWeights],
                obs_enabled: bool = False,
                sim_backend: str = "xsim",
-               memoize: bool = True) -> None:
-    _WORKER_STATE["kernels"] = list(kernels)
-    _WORKER_STATE["max_steps"] = max_steps
-    _WORKER_STATE["weights"] = weights
-    _WORKER_STATE["cache"] = ArtifactCache(max_entries=128)
-    _WORKER_STATE["sim_backend"] = sim_backend
-    _WORKER_STATE["memoize"] = memoize
+               memoize: bool = True,
+               static_check: bool = True) -> None:
+    _WORKER_STATE["evaluator"] = ParallelEvaluator(
+        kernels, weights=weights, cache=ArtifactCache(max_entries=128),
+        max_steps=max_steps, mode="serial", sim_backend=sim_backend,
+        static_check=static_check, memoize=memoize,
+    )
     if obs_enabled:
         obs.enable()
 
@@ -120,28 +137,19 @@ def _pool_evaluate(index: int, desc: ast.Description,
                    label: str,
                    parent: Optional[ast.Description] = None,
                    tech: Optional[TechSpec] = None,
-                   ) -> Tuple[int, Optional[Evaluation],
-                              Optional[str],
+                   ) -> Tuple[int, Optional[Outcome], Optional[str],
                               Optional[MetricsSnapshot]]:
-    error: Optional[str] = None
-    evaluation: Optional[Evaluation] = None
-    with obs.capture() as cap:
-        try:
-            evaluation = evaluate(
-                desc,
-                _WORKER_STATE["kernels"],
-                _WORKER_STATE["max_steps"],
-                name=label,
-                weights=_WORKER_STATE["weights"],
-                cache=_WORKER_STATE["cache"],
-                sim_backend=_WORKER_STATE.get("sim_backend", "xsim"),
-                memoize=_WORKER_STATE.get("memoize", True),
-                parent=parent,
-                tech=tech,
-            )
-        except Exception as exc:  # noqa: BLE001 — failure capture is the point
-            error = _format_error(exc)
-    return index, evaluation, error, cap.snapshot
+    """Gate and evaluate one candidate in a pool worker (see
+    :meth:`ParallelEvaluator._measure`)."""
+    return _WORKER_STATE["evaluator"]._measure(index, desc, label, parent,
+                                               tech)
+
+
+def _pool_evaluate_chunk(tasks: Sequence[tuple]) -> list:
+    """One worker task: :func:`_pool_evaluate` over each argument tuple,
+    in order.  The name is resolved per candidate, so a wrapper installed
+    on the module attribute sees every one."""
+    return [_pool_evaluate(*task) for task in tasks]
 
 
 def _format_error(exc: BaseException) -> str:
@@ -212,10 +220,6 @@ class ParallelEvaluator:
         results: List[Optional[EvalResult]] = [None] * len(requests)
         jobs: List[Tuple[int, EvalRequest]] = []
         for index, request in enumerate(requests):
-            rejected = self._static_probe(index, request)
-            if rejected is not None:
-                results[index] = rejected
-                continue
             hit = self._cache_probe(index, request)
             if hit is not None:
                 results[index] = hit
@@ -264,41 +268,6 @@ class ParallelEvaluator:
         except (ImportError, OSError):  # hosts without process support
             return "serial"
 
-    def _static_probe(self, index: int,
-                      request: EvalRequest) -> Optional[EvalResult]:
-        """The validity gate: reject a statically invalid candidate before
-        any tool-chain work is dispatched for it.
-
-        Returns an error :class:`EvalResult` carrying the diagnostic list
-        when the analysis finds error-severity problems, None otherwise.
-        A candidate so malformed the analysis itself blows up falls
-        through to normal dispatch, which records the failure the
-        pre-gate way.
-        """
-        if not self.static_check:
-            return None
-        from ..analyze import check_static
-
-        try:
-            analysis = check_static(request.desc, cache=self.cache,
-                                    parent=request.parent)
-        except Exception:  # malformed candidate: let dispatch record it
-            return None
-        if analysis.ok():
-            return None
-        errors = analysis.errors
-        obs.add("analyze.candidates_rejected")
-        first = errors[0]
-        more = f" (+{len(errors) - 1} more)" if len(errors) > 1 else ""
-        return EvalResult(
-            index, request.display_label, request.derived_by,
-            error=(
-                f"static analysis rejected candidate:"
-                f" {first.code}: {first.message}{more}"
-            ),
-            diagnostics=tuple(analysis.diagnostics),
-        )
-
     def _cache_probe(self, index: int,
                      request: EvalRequest) -> Optional[EvalResult]:
         """Warm-path lookup in the parent cache before dispatching."""
@@ -323,73 +292,107 @@ class ParallelEvaluator:
                           evaluation=evaluation, cached=True,
                           obs=cap.snapshot)
 
+    def _measure(self, index: int, desc: ast.Description, label: str,
+                 parent: Optional[ast.Description],
+                 tech: Optional[TechSpec],
+                 ) -> Tuple[int, Optional[Outcome], Optional[str],
+                            Optional[MetricsSnapshot]]:
+        """The per-candidate step of both modes: the static validity
+        gate, then the tool chain, against this evaluator's cache.
+
+        Returns ``(index, outcome, error, snapshot)``.  A candidate the
+        gate rejects is never evaluated: its *outcome* is the diagnostic
+        list and *error* names the first error.  A stage that raises
+        leaves *outcome* None with *error* set; a candidate so malformed
+        that the analysis itself raises goes on to the evaluation, which
+        records the failure.  *snapshot* is the candidate's obs profile.
+        """
+        outcome = error = None
+        with obs.capture() as cap:
+            if self.static_check:
+                # resolved per call, so a wrapper installed on
+                # ``repro.analyze.check_static`` sees every gate run
+                from ..analyze import check_static
+
+                try:
+                    analysis = check_static(desc, cache=self.cache,
+                                            parent=parent)
+                except Exception:  # malformed: the evaluation records it
+                    analysis = None
+                if analysis is not None and not analysis.ok():
+                    obs.add("analyze.candidates_rejected")
+                    first, *more = analysis.errors
+                    extra = f" (+{len(more)} more)" if more else ""
+                    outcome = tuple(analysis.diagnostics)
+                    error = (f"static analysis rejected candidate:"
+                             f" {first.code}: {first.message}{extra}")
+            if error is None:
+                try:
+                    outcome = self.evaluate(desc, label, parent=parent,
+                                            tech=tech)
+                except Exception as exc:  # failure capture is the point
+                    error = _format_error(exc)
+        return index, outcome, error, cap.snapshot
+
+    def _result(self, request: EvalRequest, index: int,
+                outcome: Optional[Outcome], error: Optional[str],
+                snapshot: Optional[MetricsSnapshot]) -> EvalResult:
+        label = request.display_label
+        if error is not None:
+            return EvalResult(index, label, request.derived_by, error=error,
+                              obs=snapshot, diagnostics=outcome or ())
+        return EvalResult(index, label, request.derived_by,
+                          evaluation=outcome, obs=snapshot)
+
     def _evaluate_inline(self, index: int,
                          request: EvalRequest) -> EvalResult:
-        label = request.display_label
-        evaluation = error = None
-        with obs.capture() as cap:
-            try:
-                evaluation = self.evaluate(request.desc, label,
-                                           parent=request.parent,
-                                           tech=self._tech_for(request))
-            except Exception as exc:  # noqa: BLE001 — failure capture
-                error = _format_error(exc)
-        if error is not None:
-            return EvalResult(index, label, request.derived_by,
-                              error=error, obs=cap.snapshot)
-        return EvalResult(index, label, request.derived_by,
-                          evaluation=evaluation, obs=cap.snapshot)
+        return self._result(request, *self._measure(
+            index, request.desc, request.display_label, request.parent,
+            self._tech_for(request)))
 
     def _run_processes(self, jobs, results) -> None:
+        """Measure *jobs* in the pool, one task per worker: interleaved
+        chunks, so each worker gets a share of every round.  Results and
+        worker snapshots are taken in submission order; the candidates of
+        a chunk that could not be pickled, or whose pool broke, are
+        measured inline instead."""
+        width = min(self.max_workers, len(jobs))
+        futures = []
+        broken = False
         try:
             pool = self._ensure_pool()
-            futures = []
-            for index, request in jobs:
-                label = request.display_label
-                futures.append(
-                    (index, request,
-                     pool.submit(_pool_evaluate, index, request.desc,
-                                 label, request.parent,
-                                 self._tech_for(request)))
-                )
+            for chunk in (jobs[start::width] for start in range(width)):
+                futures.append(pool.submit(_pool_evaluate_chunk, [
+                    (index, request.desc, request.display_label,
+                     request.parent, self._tech_for(request))
+                    for index, request in chunk
+                ]))
         except (BrokenExecutor, OSError, ValueError):
-            self.shutdown()
-            for index, request in jobs:
-                results[index] = self._evaluate_inline(index, request)
-            return
-        retry_inline: List[Tuple[int, EvalRequest]] = []
-        for index, request, future in futures:
-            label = request.display_label
+            futures, broken = [], True
+        measured = {}
+        for future in futures:
+            # the candidates of a chunk that fails are measured inline below
             try:
-                _, evaluation, error, snapshot = future.result()
-            except BrokenExecutor:
-                # the pool died (OOM-killed worker, fork failure…): finish
-                # the batch inline so the sweep still completes
-                retry_inline.append((index, request))
-                continue
-            except Exception as exc:  # noqa: BLE001 — pickling errors etc.
-                results[index] = EvalResult(index, label,
-                                            request.derived_by,
-                                            error=_format_error(exc))
-                continue
-            # futures are consumed in submission order, so merging worker
-            # snapshots here keeps the parent registry deterministic
-            if snapshot is not None:
-                obs.merge(snapshot)
-            if error is not None:
-                results[index] = EvalResult(index, label,
-                                            request.derived_by, error=error,
-                                            obs=snapshot)
-            else:
-                evaluation = self._adopt(request, evaluation)
-                results[index] = EvalResult(index, label,
-                                            request.derived_by,
-                                            evaluation=evaluation,
-                                            obs=snapshot)
-        if retry_inline:
+                for index, *rest in future.result():
+                    measured[index] = rest
+            except BrokenExecutor:  # OOM-killed worker, fork failure…
+                broken = True
+            except Exception:  # e.g. a chunk that could not be pickled
+                pass
+        if broken:
             self.shutdown()
-            for index, request in retry_inline:
+        for index, request in jobs:
+            if index not in measured:
                 results[index] = self._evaluate_inline(index, request)
+                continue
+            outcome, error, snapshot = measured[index]
+            # merged in submission order, so the parent registry is
+            # deterministic
+            obs.merge(snapshot)
+            if error is None:
+                outcome = self._adopt(request, outcome)
+            results[index] = self._result(request, index, outcome, error,
+                                          snapshot)
 
     def _adopt(self, request: EvalRequest,
                evaluation: Evaluation) -> Evaluation:
@@ -411,6 +414,7 @@ class ParallelEvaluator:
                 max_workers=self.max_workers,
                 initializer=_pool_init,
                 initargs=(self.kernels, self.max_steps, self.weights,
-                          obs.enabled(), self.sim_backend, self.memoize),
+                          obs.enabled(), self.sim_backend, self.memoize,
+                          self.static_check),
             )
         return self._pool

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..errors import SimulationError
 from ..isdl import ast
 from .core import (
+    BoundNt,
     PendingWrite,
     ProcessingCore,
     bind_operands,
@@ -51,7 +52,7 @@ class PreparedInstruction:
     """Per-address execution data resolved once at load time."""
 
     decoded: DecodedInstruction
-    #: ((operation, bound operands), ...) in field order
+    #: ((operation, bound operands), ...) in field order, empty ones left out
     bound: Tuple[Tuple[ast.Operation, Dict[str, object]], ...]
     cycles: int
     size: int
@@ -155,7 +156,14 @@ class Scheduler:
 
     def _prepare(self, decoded: DecodedInstruction) -> PreparedInstruction:
         """Resolve each operation, bind its operands and sum the cycle
-        cost: the work that off-line disassembly lets a load do once."""
+        cost: the work that off-line disassembly lets a load do once.
+
+        Cycle cost and size count every operation, but ``bound`` keeps
+        only those an execution must run: an empty operation (a nop
+        filling an idle field) with no non-terminal operand writes
+        nothing.  Statistics are derived from the decoded words, so they
+        still count it.
+        """
         bound = []
         size = 1
         for dop in decoded.operations:
@@ -164,8 +172,13 @@ class Scheduler:
                 (op, bind_operands(self.desc, op.params, dop.operands))
             )
             size = max(size, op.costs.size)
+        live = tuple(
+            (op, env) for op, env in bound
+            if op.action or op.side_effect
+            or any(isinstance(operand, BoundNt) for operand in env.values())
+        )
         return PreparedInstruction(
-            decoded, tuple(bound), instruction_cycles(bound), size
+            decoded, live, instruction_cycles(bound), size
         )
 
     # ------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Tests for the exploration validity gate (check_static in the loop)."""
 
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
+
 from repro import obs
 from repro.arch import description_for, spam2
 from repro.cache import ArtifactCache
@@ -47,10 +52,11 @@ def sum_kernel(n=4):
     return K.build()
 
 
-def test_gate_rejects_invalid_candidate_before_evaluation():
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_gate_rejects_invalid_candidate_before_evaluation(mode):
     cache = ArtifactCache()
     with ParallelEvaluator([sum_kernel()], cache=cache,
-                           mode="serial") as ev:
+                           mode=mode) as ev:
         (result,) = ev.evaluate_many(
             [EvalRequest(ambiguous_desc(), "mutated")]
         )
@@ -64,15 +70,36 @@ def test_gate_rejects_invalid_candidate_before_evaluation():
     assert cache.stats.hits_by_kind["evaluation"] == 0
 
 
-def test_gate_counts_rejections_in_obs():
+@pytest.mark.parametrize("mode", ["serial", "process"])
+def test_gate_counts_rejections_in_obs(mode):
     obs.enable()
     try:
         with obs.capture() as cap:
-            with ParallelEvaluator([sum_kernel()], mode="serial") as ev:
+            with ParallelEvaluator([sum_kernel()], mode=mode) as ev:
                 ev.evaluate_many([EvalRequest(ambiguous_desc())])
     finally:
         obs.disable(reset=True)
     assert cap.snapshot.counters["analyze.candidates_rejected"] == 1
+
+
+def test_broken_pool_still_returns_gate_diagnostics(monkeypatch):
+    def broken(fn, *args):
+        future = Future()
+        future.set_exception(BrokenProcessPool("a worker died"))
+        return future
+
+    with ParallelEvaluator([sum_kernel()], mode="process",
+                           max_workers=2) as ev:
+        monkeypatch.setattr(ev._ensure_pool(), "submit", broken)
+        rejected, good = ev.evaluate_many([
+            EvalRequest(ambiguous_desc(), "mutated"),
+            EvalRequest(description_for("risc16")),
+        ])
+        assert ev._pool is None, "a broken pool is shut down"
+    # both candidates were measured inline, through the same gate
+    assert "static analysis rejected" in rejected.error
+    assert any(d.code == "ISDL101" for d in rejected.diagnostics)
+    assert good.ok and good.evaluation.feasible
 
 
 def test_gate_passes_valid_candidates_through():

@@ -70,6 +70,48 @@ def test_failed_candidate_is_recorded_not_raised(mode):
     assert results[2].ok and results[2].evaluation.feasible
 
 
+def test_process_batch_is_one_task_per_worker(monkeypatch):
+    archs = ("risc16", "spam", "acc8", "spam2", "risc16")
+    batch = [EvalRequest(description_for(arch), label=f"{arch}-{i}")
+             for i, arch in enumerate(archs)]
+    submitted = []
+    with ParallelEvaluator([sum_kernel()], mode="process",
+                           max_workers=2) as evaluator:
+        pool = evaluator._ensure_pool()
+        real_submit = pool.submit
+
+        def submit(fn, *args):
+            submitted.append(args)
+            return real_submit(fn, *args)
+
+        monkeypatch.setattr(pool, "submit", submit)
+        results = evaluator.evaluate_many(batch)
+    # interleaved chunks: each worker gets a share of the batch
+    assert [[task[0] for task in chunk] for (chunk,) in submitted] == [
+        [0, 2, 4], [1, 3],
+    ]
+    assert [r.index for r in results] == [0, 1, 2, 3, 4]
+    assert all(r.ok for r in results)
+    # each worker-side outcome landed on its own request
+    assert [r.evaluation.name for r in results] == [r.label for r in batch]
+
+
+def test_unpicklable_candidate_fails_alone():
+    batch = [
+        EvalRequest(description_for("risc16"), label="a"),
+        EvalRequest(lambda: None, label="unpicklable"),
+        EvalRequest(description_for("spam"), label="b"),
+        EvalRequest(description_for("acc8"), label="c"),
+    ]
+    with ParallelEvaluator([sum_kernel()], mode="process",
+                           max_workers=2) as evaluator:
+        results = evaluator.evaluate_many(batch)
+    # the chunk that could not be pickled is measured inline instead
+    assert [r.ok for r in results] == [True, False, True, True]
+    assert results[1].error
+    assert [r.evaluation.name for r in results if r.ok] == ["a", "b", "c"]
+
+
 def test_warm_cache_skips_dispatch():
     cache = ArtifactCache()
     kernels = [sum_kernel()]

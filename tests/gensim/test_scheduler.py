@@ -260,3 +260,19 @@ def test_run_binds_no_operands_after_load(monkeypatch):
     for storage, contents in workload.expected.items():
         for index, value in contents.items():
             assert sim.read(storage, index) == value
+
+
+def test_prepare_leaves_out_empty_operations(spam_desc):
+    # a SPAM word with one busy field: the nops filling the other six are
+    # decoded and counted, but a load prepares nothing of them to execute
+    sim = XSim(spam_desc)
+    load(sim, "fmul r8, r9, r10\nhalt\n")
+    fmul, halt = sim.scheduler.program.prepared
+    assert len(fmul.decoded.operations) == len(spam_desc.fields)
+    assert [op.name for op, _ in fmul.bound] == ["fmul"]
+    assert [op.name for op, _ in halt.bound] == ["halt"]
+    sim.write("RF", 0x40000000, 9)   # 2.0f
+    sim.write("RF", 0x40400000, 10)  # 3.0f
+    stats = sim.run_to_completion()
+    assert sim.read("RF", 8) == 0x40C00000  # 6.0f
+    assert stats.op_counts[("FP1", "fnop")] == 2
