@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from . import obs
+from .isdl.fingerprint import _memoized
 
 __all__ = ["ArtifactCache", "CacheStats", "kernel_fingerprint"]
 
@@ -50,10 +51,24 @@ __all__ = ["ArtifactCache", "CacheStats", "kernel_fingerprint"]
 DISK_SCHEMA_VERSION = 1
 
 
-def kernel_fingerprint(kernel) -> str:
-    """Stable digest of an IR kernel (dataclass reprs are deterministic)."""
+# Identity-keyed memo of kernel digests (see isdl.fingerprint._memoized)
+_KERNEL_MEMO: Dict[int, Tuple[Any, str]] = {}
+
+
+def _kernel_digest(kernel) -> str:
     payload = f"{kernel.name}|{kernel.ops!r}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def kernel_fingerprint(kernel) -> str:
+    """Stable digest of an IR kernel (dataclass reprs are deterministic).
+
+    Memoized per kernel object, like :func:`repro.isdl.fingerprint`: a
+    kernel's name and ops must not change once it is fingerprinted.
+    Callers that edit a kernel in place must treat it as a *new* object
+    (build another) or the memo will serve a stale digest.
+    """
+    return _memoized(_KERNEL_MEMO, kernel, _kernel_digest)
 
 
 @dataclass

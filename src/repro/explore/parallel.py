@@ -17,7 +17,8 @@ loop needs:
   :class:`~repro.cache.ArtifactCache` is consulted before any work is
   dispatched and stores every result, so candidates re-proposed in later
   iterations (or whole re-runs of a sweep) are lookups, whatever pool
-  mode produced them first.
+  mode produced them first.  That probe runs in the main process, under
+  one ``explore.probe`` span per batch.
 
 Both modes measure a candidate through one step
 (:meth:`ParallelEvaluator._measure`): the static validity gate, then the
@@ -219,12 +220,13 @@ class ParallelEvaluator:
         ``error`` entry instead of an exception."""
         results: List[Optional[EvalResult]] = [None] * len(requests)
         jobs: List[Tuple[int, EvalRequest]] = []
-        for index, request in enumerate(requests):
-            hit = self._cache_probe(index, request)
-            if hit is not None:
-                results[index] = hit
-            else:
-                jobs.append((index, request))
+        with obs.span("explore.probe", candidates=len(requests)):
+            for index, request in enumerate(requests):
+                hit = self._cache_probe(index, request)
+                if hit is not None:
+                    results[index] = hit
+                else:
+                    jobs.append((index, request))
         mode = self._effective_mode(len(jobs))
         if mode == "serial":
             for index, request in jobs:

@@ -42,7 +42,9 @@ when that is enabled — counters ``serve.jobs_accepted``,
 ``serve.jobs_coalesced``, ``serve.jobs_rejected``,
 ``serve.jobs_throttled``, ``serve.jobs_retried``, ``serve.jobs_timeout``,
 ``serve.jobs_failed``, ``serve.jobs_completed``, ``serve.jobs_cancelled``,
-``serve.evaluations_run``, ``serve.worker_errors``, gauge
+``serve.evaluations_run``, ``serve.worker_errors``,
+``serve.parses_reused`` (inline-ISDL submissions whose text was
+already parsed for a job still on record), gauge
 ``serve.queue_depth``, histograms ``serve.job_seconds`` and
 ``serve.admission_seconds`` (the admission time each job record carries
 as ``admission_s``).
@@ -54,6 +56,7 @@ import os
 import threading
 import time
 import traceback
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -67,6 +70,7 @@ from ..explore.explorer import Explorer
 from ..explore.metrics import CostWeights
 from ..explore.parallel import EvalRequest, ParallelEvaluator
 from ..isdl import fingerprint
+from ..isdl.ast import Description
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..tech.model import TechSpec, UnknownTechError, parse_tech
 from .jobs import (
@@ -172,6 +176,10 @@ class EvaluationService:
         self._jobs: Dict[str, Job] = {}
         self._order: List[str] = []  # submission order, for listings
         self._inflight: Dict[Tuple, Job] = {}
+        #: submitted ISDL text -> its parsed description; an entry lives
+        #: as long as some job record holds that description
+        self._parsed: "weakref.WeakValueDictionary[str, Description]" = \
+            weakref.WeakValueDictionary()
         self._lock = threading.RLock()
         self._done_cond = threading.Condition(self._lock)
         self._draining = False
@@ -357,7 +365,6 @@ class EvaluationService:
                        job_id: Optional[str] = None) -> Job:
         if not isinstance(payload, dict):
             raise BadRequestError("submission payload must be a JSON object")
-        desc = None
         parse_diags: Tuple[Diagnostic, ...] = ()
         arch = payload.get("arch")
         source = payload.get("isdl")
@@ -375,16 +382,7 @@ class EvaluationService:
                 )
             desc = description_for(arch)
         else:
-            from ..isdl import load_string
-
-            try:
-                desc = load_string(str(source), filename="<submitted>",
-                                   validate=False)
-            except IsdlSyntaxError as exc:
-                parse_diags = (Diagnostic(
-                    CODE_PARSE_ERROR, Severity.ERROR, exc.message,
-                    location=exc.location,
-                ),)
+            desc, parse_diags = self._parse_isdl(str(source))
         workloads = tuple(payload.get("workloads") or ("sum",))
         try:
             kernels = tuple(resolve_kernels(list(workloads)))
@@ -457,6 +455,37 @@ class EvaluationService:
             strategy=strategy, strategy_params=strategy_params,
             tech=tech,
         )
+
+    def _parse_isdl(self, text: str) -> Tuple[
+            Optional[Description], Tuple[Diagnostic, ...]]:
+        """Parse submitted ISDL *text*, once per distinct text while a job
+        record holds its description.
+
+        A text already in ``_parsed`` is served from there (counted as
+        ``serve.parses_reused``), so repeats share one ``Description``:
+        its memoized fingerprint, the gate's ``analysis`` entry and the
+        coalescing key.  A text that fails to parse is never stored.
+        """
+        with self._lock:
+            desc = self._parsed.get(text)
+        if desc is not None:
+            self._count("serve.parses_reused")
+            return desc, ()
+        # resolved per call, so a wrapper installed on
+        # ``repro.isdl.load_string`` sees every parse that runs
+        from ..isdl import load_string
+
+        try:
+            desc = load_string(text, filename="<submitted>", validate=False)
+        except IsdlSyntaxError as exc:
+            return None, (Diagnostic(
+                CODE_PARSE_ERROR, Severity.ERROR, exc.message,
+                location=exc.location,
+            ),)
+        with self._lock:
+            # a racing parse of the same text may have stored first:
+            # then every job of the text shares that description
+            return self._parsed.setdefault(text, desc), ()
 
     def _parse_strategy(self, spec: Any) -> Tuple[
             Optional[str], Dict[str, Any], Tuple[Diagnostic, ...]]:

@@ -226,6 +226,29 @@ def test_eval_results_carry_profiles(mode, spam2_desc):
     assert obs.registry().snapshot().counters["sim.runs"] >= 1
 
 
+def test_cache_probe_has_its_own_span(spam2_desc):
+    obs.enable()
+    evaluator = ParallelEvaluator([_kernel()], cache=ArtifactCache(),
+                                  mode="serial")
+    evaluator.evaluate_many([EvalRequest(spam2_desc, label="cold")])
+    warm = evaluator.evaluate_many([
+        EvalRequest(spam2_desc, label="warm"),
+        EvalRequest(description_for("risc16"), label="new"),
+    ])
+    assert [r.cached for r in warm] == [True, False]
+    records = obs.tracer().finished()
+    probes = [r for r in records if r.name == "explore.probe"]
+    assert [p.attrs["candidates"] for p in probes] == [1, 2]
+    assert all(p.depth == 0 for p in probes)
+    # one span per batch, in the main process: a hit is served inside
+    # it, a miss is measured after it closes
+    depths = {r.attrs["candidate"]: r.depth for r in records
+              if r.name == "explore.evaluate"}
+    assert depths == {"cold": 0, "warm": 1, "new": 0}
+    assert obs.registry().snapshot().histograms[
+        "stage.explore.probe"].count == 2
+
+
 def test_process_pool_merge_is_deterministic(spam2_desc):
     def run():
         obs.enable()

@@ -1,5 +1,6 @@
 """The evaluation service: lifecycle, gate, coalescing, timeouts, drain."""
 
+import sys
 import threading
 import time
 
@@ -237,6 +238,133 @@ def test_followers_of_a_failed_leader_fail_too(service_factory):
     assert service.wait(twin.id, timeout=10.0).state is JobState.FAILED
     assert "synthesis exploded" in twin.error
     assert counter(service, "serve.jobs_failed") == 2
+
+
+# ----------------------------------------------------------------------
+# Inline ISDL: each distinct text is parsed once
+# ----------------------------------------------------------------------
+
+
+def _spam2_text():
+    from repro.arch import description_for
+    from repro.isdl import print_description
+
+    return print_description(description_for("spam2"))
+
+
+@pytest.fixture
+def counted_parses(monkeypatch):
+    """The texts of every ISDL parse admission runs (it resolves
+    ``repro.isdl.load_string`` per call, so a wrapper sees them all)."""
+    import repro.isdl
+
+    texts = []
+    real = repro.isdl.load_string
+
+    def counting(text, *args, **kwargs):
+        texts.append(text)
+        return real(text, *args, **kwargs)
+
+    monkeypatch.setattr(repro.isdl, "load_string", counting)
+    return texts
+
+
+def test_repeated_isdl_text_is_parsed_once(counted_parses):
+    text = _spam2_text()
+    config = ServiceConfig(workers=1, static_check=True)
+    with EvaluationService(config) as service:
+        jobs = [service.submit({"isdl": text, "workloads": ["sum:8"]})
+                for _ in range(3)]
+        done = [service.wait(job.id, timeout=120.0) for job in jobs]
+    assert counted_parses == [text]
+    assert all(job.desc is jobs[0].desc for job in jobs)
+    assert all(job.state is JobState.SUCCEEDED for job in done)
+    results = [job.to_dict()["result"] for job in done]
+    assert results == [results[0]] * 3
+    assert counter(service, "serve.parses_reused") == 2
+    assert counter(service, "serve.evaluations_run") == 1
+
+
+def test_text_differing_by_a_comment_parses_again_but_coalesces(
+        service_factory, counted_parses):
+    release = threading.Event()
+
+    def gated(job):
+        release.wait(10)
+        return stub_evaluation(job.label)
+
+    service = service_factory(evaluate_fn=gated, workers=1)
+    text = _spam2_text()
+    commented = text + "# the same machine\n"
+    leader = service.submit({"isdl": text})
+    twin = service.submit({"isdl": commented})
+    release.set()
+    # the memo is keyed by the exact text, the coalescing key by the
+    # fingerprint, which a comment does not change
+    assert counted_parses == [text, commented]
+    assert twin.desc is not leader.desc
+    assert twin.key == leader.key
+    assert twin.coalesced_with == leader.id
+    assert service.wait(twin.id, timeout=10.0).state is JobState.SUCCEEDED
+    assert counter(service, "serve.parses_reused") == 0
+    assert counter(service, "serve.evaluations_run") == 1
+
+
+def test_unparseable_text_is_parsed_and_rejected_every_time(
+        service_factory, counted_parses):
+    service = service_factory(static_check=True)
+    source = "processor oops {"
+    for _ in range(2):
+        job = service.submit({"isdl": source})
+        assert job.state is JobState.REJECTED
+        assert job.diagnostics[0].code == CODE_PARSE_ERROR
+    assert counted_parses == [source, source]
+    assert counter(service, "serve.parses_reused") == 0
+    assert counter(service, "serve.jobs_rejected") == 2
+
+
+def test_concurrent_submissions_of_one_new_text_all_succeed(
+        service_factory, counted_parses, monkeypatch):
+    import repro.isdl
+
+    counting = repro.isdl.load_string
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)  # hold each parse open so the threads overlap
+        return counting(*args, **kwargs)
+
+    monkeypatch.setattr(repro.isdl, "load_string", slow)
+    service = service_factory(static_check=True)
+    text = _spam2_text()
+    barrier = threading.Barrier(8)
+    jobs, errors = [], []
+
+    def submit():
+        barrier.wait(10)
+        try:
+            jobs.append(service.submit({"isdl": text}))
+        except Exception as exc:  # recorded for the assertion below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=submit) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to expose races
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(jobs) == 8
+    for job in jobs:
+        assert service.wait(job.id, timeout=10.0).state \
+            is JobState.SUCCEEDED
+    # racing parses adopt the first one stored: every job shares it
+    assert all(job.desc is jobs[0].desc for job in jobs)
+    assert len(counted_parses) + counter(service, "serve.parses_reused") \
+        == 8
 
 
 # ----------------------------------------------------------------------

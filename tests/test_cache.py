@@ -81,6 +81,26 @@ def test_kernel_fingerprint_stable_and_distinct():
     )
 
 
+def test_kernel_fingerprint_digests_each_kernel_once(monkeypatch):
+    digested = []
+    real = cache_module._kernel_digest
+
+    def counting(kernel):
+        digested.append(kernel)
+        return real(kernel)
+
+    monkeypatch.setattr(cache_module, "_kernel_digest", counting)
+    kernel = small_kernel()
+    first = kernel_fingerprint(kernel)
+    assert all(kernel_fingerprint(kernel) == first for _ in range(5))
+    assert digested == [kernel]
+    # an equal kernel built separately is digested on its own and agrees
+    twin = small_kernel()
+    assert twin is not kernel
+    assert kernel_fingerprint(twin) == first
+    assert len(digested) == 2 and digested[1] is twin
+
+
 # ----------------------------------------------------------------------
 # LRU layer: hit/miss accounting, eviction
 # ----------------------------------------------------------------------
