@@ -13,6 +13,7 @@ from conftest import record, record_json
 from _kernels import preload_for, speed_program
 
 from repro.gensim.disassembler import Disassembler
+from repro.gensim.scheduler import prepare_instruction
 from repro.gensim.xsim import XSim
 
 ARCH = "spam"
@@ -51,7 +52,7 @@ def _run_online_decode(sim):
         # operands NOW.
         word = sim.state.read(im_name, address)
         decoded = decoder.disassemble(word)
-        prepared = scheduler._prepare(decoded)
+        prepared = prepare_instruction(sim.desc, decoded)
         result = scheduler.core.execute(sim.state, prepared)
         # count the execution the way Scheduler.step does; the statistics
         # are derived from the per-address counts when read

@@ -27,8 +27,8 @@ from ..codegen import Compiler
 from ..codegen.ir import Kernel
 from ..errors import CodegenError, ReproError
 from ..encoding.signature import SignatureTable, decode_preserved
+from ..gensim.protocol import simulator_for
 from ..gensim.stats import SimulationStats
-from ..gensim.xsim import XSim
 from ..hgen import estimate_power
 from ..isdl import ast, fingerprint
 from ..isdl.fingerprint import fingerprint_delta
@@ -38,6 +38,10 @@ from ..tech.model import TechSpec
 #: artifacts is re-run cold and the two results are assert-compared —
 #: the debug net under the incremental tier's equal-to-cold invariant.
 INCREMENTAL_CHECK_ENV = "REPRO_INCREMENTAL_CHECK"
+
+#: The engine a candidate is simulated on unless its caller names
+#: another (see :func:`evaluate`).
+DEFAULT_SIM_BACKEND = "compiled"
 
 
 @dataclass
@@ -124,9 +128,8 @@ class Evaluation:
 
 
 def evaluation_key(desc: ast.Description, kernels: Sequence[Kernel],
-                   max_steps: int, fp: Optional[str] = None,
-                   sim_backend: str = "xsim",
-                   tech: Optional[TechSpec] = None):
+                   max_steps: int, fp: Optional[str] = None, *,
+                   sim_backend: str, tech: Optional[TechSpec] = None):
     """The cache key identifying one candidate measurement.
 
     The technology axis is appended **only when set**, so keys written
@@ -148,7 +151,7 @@ def evaluate(
     *,
     weights: Optional[CostWeights] = None,
     cache: Optional[ArtifactCache] = None,
-    sim_backend: str = "xsim",
+    sim_backend: str = DEFAULT_SIM_BACKEND,
     memoize: bool = True,
     parent: Optional[ast.Description] = None,
     tech: Optional[TechSpec] = None,
@@ -167,10 +170,13 @@ def evaluate(
     (keyword-only) memoizes generated artifacts and whole evaluations by
     structural fingerprint instead of rebuilding them internally.
     *sim_backend* selects the executor (see
-    :func:`repro.gensim.simulator_for`).  Every backend derives its
-    statistics from per-address execution counts, so all of them return
-    the same :class:`Evaluation` — cycles, utilization, power and cost —
-    and differ only in speed; the cache key still names the backend.
+    :func:`repro.gensim.simulator_for`): by default ``"compiled"``,
+    whose per-instruction closures run a short kernel several times
+    faster than ``"xsim"``, the reference interpreter every backend is
+    checked against.  Every backend derives its statistics from
+    per-address execution counts, so all of them return the same
+    :class:`Evaluation` — cycles, utilization, power and cost — and
+    differ only in speed; the cache key still names the backend.
 
     *memoize* (keyword-only) controls only the whole-evaluation memo:
     with ``memoize=False`` the pipeline still shares artifact-level
@@ -202,7 +208,8 @@ def evaluate(
                                       weights, cache=cache, fp=fp,
                                       sim_backend=sim_backend, parent=parent,
                                       tech=tech)
-        key = evaluation_key(desc, kernels, max_steps, fp, sim_backend, tech)
+        key = evaluation_key(desc, kernels, max_steps, fp,
+                             sim_backend=sim_backend, tech=tech)
         evaluation = cache.evaluation(
             key,
             lambda: _evaluate_uncached(desc, kernels, max_steps, label,
@@ -223,9 +230,10 @@ def _evaluate_uncached(
     max_steps: int,
     label: str,
     weights: Optional[CostWeights],
+    *,
+    sim_backend: str,
     cache: Optional[ArtifactCache] = None,
     fp: Optional[str] = None,
-    sim_backend: str = "xsim",
     parent: Optional[ast.Description] = None,
     tech: Optional[TechSpec] = None,
     _checked: bool = False,
@@ -303,16 +311,12 @@ def _evaluate_uncached(
                     obs.add("explore.sim_reused")
                     cache.note_incremental("sim", {"reused": 1})
                     return parent_stats
-            if sim_backend == "xsim":
-                sim = XSim(desc, table=table)
-            elif sim_backend == "block":
+            if sim_backend == "block":
                 from ..gensim.blocksim import BlockSimulator
 
                 sim = BlockSimulator(desc, table=table, cache=cache,
                                      parent=parent)
             else:
-                from ..gensim.protocol import simulator_for
-
                 sim = simulator_for(desc, sim_backend, table=table)
             sim.load_words(program.words, program.origin)
             return sim.run_to_completion(max_steps)

@@ -54,7 +54,13 @@ from ..codegen.ir import Kernel
 from ..isdl import ast, fingerprint
 from ..obs.metrics import MetricsSnapshot
 from ..tech.model import TechSpec
-from .metrics import CostWeights, Evaluation, evaluate, evaluation_key
+from .metrics import (
+    DEFAULT_SIM_BACKEND,
+    CostWeights,
+    Evaluation,
+    evaluate,
+    evaluation_key,
+)
 
 __all__ = ["EvalRequest", "EvalResult", "ParallelEvaluator"]
 
@@ -120,11 +126,9 @@ _WORKER_STATE: dict = {}
 
 
 def _pool_init(kernels: Sequence[Kernel], max_steps: int,
-               weights: Optional[CostWeights],
-               obs_enabled: bool = False,
-               sim_backend: str = "xsim",
-               memoize: bool = True,
-               static_check: bool = True) -> None:
+               weights: Optional[CostWeights], obs_enabled: bool,
+               sim_backend: str, memoize: bool,
+               static_check: bool) -> None:
     _WORKER_STATE["evaluator"] = ParallelEvaluator(
         kernels, weights=weights, cache=ArtifactCache(max_entries=128),
         max_steps=max_steps, mode="serial", sim_backend=sim_backend,
@@ -159,7 +163,12 @@ def _format_error(exc: BaseException) -> str:
 
 
 class ParallelEvaluator:
-    """Evaluate candidate descriptions concurrently behind one cache."""
+    """Evaluate candidate descriptions concurrently behind one cache.
+
+    Every candidate is simulated on *sim_backend*, ``"compiled"`` unless
+    named otherwise (see :func:`~repro.explore.metrics.evaluate`); the
+    pool workers use the same engine.
+    """
 
     def __init__(
         self,
@@ -170,7 +179,7 @@ class ParallelEvaluator:
         max_steps: int = 500_000,
         max_workers: Optional[int] = None,
         mode: str = "auto",
-        sim_backend: str = "xsim",
+        sim_backend: str = DEFAULT_SIM_BACKEND,
         static_check: bool = True,
         memoize: bool = True,
         tech: Optional[TechSpec] = None,

@@ -45,7 +45,7 @@ from ..isdl import ast, rtl
 from ..isdl.fingerprint import fingerprint_delta
 from .cfg import ControlFlowAnalyzer, block_span
 from .compiled import CompiledSimulator, _make_commit
-from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt, bind_operands
+from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
 from .monitors import MonitorSet
 from .render import render_instruction
 from .state import out_of_range
@@ -240,8 +240,8 @@ class _BlockCompiler:
             # Compute phase: evaluate everything into temps/records.
             self.cur_address = address
             before = len(self.records)
-            decoded = sim._decoded[offset]
-            self._emit_instruction(decoded, retire_off=cyc + cycles)
+            self._emit_instruction(sim._prepared[offset],
+                                   retire_off=cyc + cycles)
             outstanding.extend(self.records[before:])
             cyc += cycles
         # Final boundary: fall-through PC (terminator writes override it
@@ -382,11 +382,10 @@ class _BlockCompiler:
     # Instruction compute phase (mirrors CompiledSimulator's structure)
     # ------------------------------------------------------------------
 
-    def _emit_instruction(self, decoded, retire_off: int) -> None:
+    def _emit_instruction(self, prepared, retire_off: int) -> None:
+        """Emit one instruction over the bindings its load prepared."""
         per_dop = []
-        for dop in decoded.operations:
-            op = self.desc.operation(dop.field, dop.op_name)
-            env = bind_operands(self.desc, op.params, dop.operands)
+        for op, env in prepared.bound:
             delay = op.timing.latency - 1
             cenv = self._emit_env(env, retire_off, prologues=True)
             for stmt in op.action:

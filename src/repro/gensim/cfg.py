@@ -28,7 +28,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..isdl import ast, rtl
 from .disassembler import DecodedInstruction
-from .hazards import _freeze
 
 __all__ = [
     "InstructionFlow",
@@ -41,6 +40,18 @@ __all__ = [
 #: Safety valve for pathological straight-line programs: a block longer
 #: than this is split (the tail becomes the next block's entry).
 MAX_BLOCK_LEN = 64
+
+
+def _freeze(operand) -> Tuple:
+    """Hashable form of a decoded operand tree."""
+    if isinstance(operand, tuple) and len(operand) == 2 and isinstance(
+        operand[1], dict
+    ):
+        label, sub = operand
+        return (label, tuple(sorted(
+            (name, _freeze(child)) for name, child in sub.items()
+        )))
+    return operand
 
 
 @dataclass(frozen=True)

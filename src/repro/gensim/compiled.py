@@ -27,15 +27,10 @@ from .. import obs
 from ..encoding.bits import mask, set_bits
 from ..errors import SimulationError
 from ..isdl import ast, rtl
-from .core import (
-    INTRINSIC_IMPLS,
-    _BINOPS,
-    BoundNt,
-    bind_operands,
-    instruction_cycles,
-)
+from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
 from .disassembler import DecodedInstruction, Disassembler
 from .hazards import HazardAnalyzer
+from .scheduler import PreparedInstruction, prepare_instruction
 from .state import check_fits, out_of_range
 from .stats import RunResult, SimulationStats
 
@@ -104,6 +99,7 @@ class CompiledSimulator:
         self._halt = desc.attributes.get("halt_flag")
         self._program: List[Optional[Tuple[StmtFn, int, int]]] = []
         self._decoded: List[DecodedInstruction] = []
+        self._prepared: List[PreparedInstruction] = []
         self._stalls: List[int] = []
         self._origin = 0
         #: executions per program address (index = address - origin)
@@ -169,9 +165,11 @@ class CompiledSimulator:
     def load_words(self, words: Sequence[int], origin: int = 0) -> None:
         check_fits(self.desc, origin, len(words))
         decoded = [self.disassembler.disassemble(word) for word in words]
+        prepared = [prepare_instruction(self.desc, d) for d in decoded]
         self._decoded = decoded
-        self._stalls = self.hazards.stalls_for_program(decoded)
-        self._program = [self._compile_instruction(d) for d in decoded]
+        self._prepared = prepared
+        self._stalls = self.hazards.stalls_for_program(prepared)
+        self._program = [self._compile_instruction(p) for p in prepared]
         self._origin = origin
         self._counts = [0] * len(words)
         im = self.desc.instruction_memory()
@@ -179,17 +177,14 @@ class CompiledSimulator:
             self.write(im.name, word, origin + offset)
         self.scalars[self._pc] = origin
 
-    def _compile_instruction(self, decoded: DecodedInstruction):
-        """Compile one decoded instruction to (closure, cycles, size)."""
+    def _compile_instruction(self, prepared: PreparedInstruction):
+        """Compile one load-time record to (closure, cycles, size).
+
+        Only the operations the record keeps get closures.
+        """
         stmt_fns: List[StmtFn] = []
         side_fns: List[StmtFn] = []
-        bound_ops = []
-        size = 1
-        for dop in decoded.operations:
-            op = self.desc.operation(dop.field, dop.op_name)
-            env = bind_operands(self.desc, op.params, dop.operands)
-            bound_ops.append((op, env))
-            size = max(size, op.costs.size)
+        for op, env in prepared.bound:
             delay = op.timing.latency - 1
             nt_prologue: List[StmtFn] = []
             compiled_env = self._compile_env(env, nt_prologue)
@@ -218,7 +213,7 @@ class CompiledSimulator:
             for fn in fns:
                 fn(scalars, arrays, sink)
 
-        return execute, instruction_cycles(bound_ops), size
+        return execute, prepared.cycles, prepared.size
 
     # ------------------------------------------------------------------
     # Closure compilation

@@ -208,9 +208,9 @@ class ProcessingCore:
         """Execute one instruction (one operation per field).
 
         *prepared* carries the operands bound and the cycle cost summed
-        once at load time (:meth:`Scheduler._prepare
-        <repro.gensim.scheduler.Scheduler._prepare>`), so only the RTL is
-        evaluated here.  Each bound option's action recomputes its
+        once at load time
+        (:func:`~repro.gensim.scheduler.prepare_instruction`), so only the
+        RTL is evaluated here.  Each bound option's action recomputes its
         ``$$`` before anything of this execution reads it.
         """
         result = ExecutionResult(cycles=prepared.cycles)

@@ -24,11 +24,11 @@ resolve to exact elements (``RF[3]``), and only genuinely dynamic addresses
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..isdl import ast, rtl
-from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt, bind_operands
-from .disassembler import DecodedInstruction
+from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
+from .scheduler import PreparedInstruction
 
 #: A static access: (storage, element-index or None for unknown/whole).
 Access = Tuple[str, Optional[int]]
@@ -53,45 +53,34 @@ def _conflicts(read: Access, write: Access) -> bool:
     return read[1] == write[1]
 
 
-def _freeze(operand) -> Tuple:
-    """Hashable form of a decoded operand tree."""
-    if isinstance(operand, tuple) and len(operand) == 2 and isinstance(
-        operand[1], dict
-    ):
-        label, sub = operand
-        return (label, tuple(sorted(
-            (name, _freeze(child)) for name, child in sub.items()
-        )))
-    return operand
-
-
 class HazardAnalyzer:
     """Computes per-address stall counts for a loaded program."""
 
     def __init__(self, desc: ast.Description):
         self.desc = desc
-        self._profile_cache: Dict[Tuple, InstructionProfile] = {}
+        self._profile_cache: Dict[int, InstructionProfile] = {}
 
     # ------------------------------------------------------------------
     # Per-instruction profiles
     # ------------------------------------------------------------------
 
-    def profile(self, decoded: DecodedInstruction) -> InstructionProfile:
-        key = tuple(
-            (op.field, op.op_name,
-             tuple(sorted((n, _freeze(v)) for n, v in op.operands.items())))
-            for op in decoded.operations
-        )
-        cached = self._profile_cache.get(key)
+    def profile(self, prepared: PreparedInstruction) -> InstructionProfile:
+        """The static summary of one instruction, scanned over the
+        bindings of its load-time record *prepared*.
+
+        Memoized by instruction word, which decodes one way per
+        description.  Operations left out of the record (empty nops)
+        read, write and occupy nothing.
+        """
+        word = prepared.decoded.word
+        cached = self._profile_cache.get(word)
         if cached is not None:
             return cached
         reads: set = set()
         writes: List[Tuple[Access, int, int]] = []
         usage: List[Tuple[str, int]] = []
-        for dop in decoded.operations:
-            op = self.desc.operation(dop.field, dop.op_name)
+        for field_name, (op, env) in zip(prepared.fields, prepared.bound):
             # a bound option is not an int, so indexes it feeds are dynamic
-            env = bind_operands(self.desc, op.params, dop.operands)
             self._scan_blocks(
                 list(op.action) + list(op.side_effect),
                 env, reads, writes,
@@ -106,11 +95,11 @@ class HazardAnalyzer:
                         option.timing.latency, op.costs.stall,
                     )
             if op.action:
-                usage.append((dop.field, op.timing.usage))
+                usage.append((field_name, op.timing.usage))
         profile = InstructionProfile(
             frozenset(reads), tuple(writes), tuple(usage)
         )
-        self._profile_cache[key] = profile
+        self._profile_cache[word] = profile
         return profile
 
     def _scan_blocks(self, stmts, env, reads, writes, latency, cap) -> None:
@@ -206,30 +195,23 @@ class HazardAnalyzer:
     # ------------------------------------------------------------------
 
     def stalls_for_program(
-        self, program: List[Optional[DecodedInstruction]]
+        self, program: Sequence[PreparedInstruction]
     ) -> List[int]:
-        """Per-address stall cycles for a decoded instruction stream.
+        """Per-address stall cycles for a loaded instruction stream.
 
-        ``program[i]`` is the decoded instruction at instruction-memory
-        address ``i`` (``None`` for unoccupied words).  The returned list
-        gives the stall cycles charged when the instruction at each address
-        executes.
+        ``program[i]`` is the load-time record of the instruction at
+        offset ``i`` of the program.  The returned list gives the stall
+        cycles charged when the instruction at each address executes.
         """
-        profiles = [
-            self.profile(ins) if ins is not None else None for ins in program
-        ]
+        profiles = [self.profile(prepared) for prepared in program]
         max_window = 1
         for profile in profiles:
-            if profile is None:
-                continue
             for _, latency, _ in profile.writes:
                 max_window = max(max_window, latency)
             for _, usage in profile.unit_usage:
                 max_window = max(max_window, usage)
         stalls = [0] * len(program)
         for i, consumer in enumerate(profiles):
-            if consumer is None:
-                continue
             best = 0
             consumer_fields = {f for f, _ in consumer.unit_usage}
             for k in range(1, max_window):
@@ -237,8 +219,6 @@ class HazardAnalyzer:
                 if j < 0:
                     break
                 producer = profiles[j]
-                if producer is None:
-                    continue
                 # Data hazards.
                 for access, latency, cap in producer.writes:
                     if latency <= k:

@@ -9,6 +9,13 @@ basic-block JIT :class:`~repro.gensim.blocksim.BlockSimulator`).  The
 :class:`Simulator` protocol pins down the surface they share: load a
 program, reset, run to completion, examine/set state, read statistics.
 Code written against the protocol runs unchanged on every backend.
+
+``compiled`` is the engine the measurement pipeline runs by default
+(:func:`repro.explore.evaluate`, the sweep's evaluator and the
+evaluation service): on the short kernels of a sweep it loads as fast
+as ``xsim`` and runs several times faster.  ``xsim`` stays the reference
+that every other backend is tested against, and the only one with
+breakpoints, execution traces and per-write state monitors.
 """
 
 from __future__ import annotations

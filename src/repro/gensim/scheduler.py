@@ -56,6 +56,38 @@ class PreparedInstruction:
     bound: Tuple[Tuple[ast.Operation, Dict[str, object]], ...]
     cycles: int
     size: int
+    #: the field of each operation in ``bound``
+    fields: Tuple[str, ...]
+
+
+def prepare_instruction(desc: ast.Description,
+                        decoded: DecodedInstruction) -> PreparedInstruction:
+    """Resolve each operation, bind its operands and sum the cycle cost:
+    the work that off-line disassembly lets a load do once.
+
+    Every executor and the hazard analyzer read the bindings of this one
+    record, so a load binds each decoded operation exactly once.  Cycle
+    cost and size count every operation, but ``bound`` keeps only those
+    an execution must run: an empty operation (a nop filling an idle
+    field) with no non-terminal operand writes nothing and occupies no
+    unit.  Statistics are derived from the decoded words, so they still
+    count it.
+    """
+    bound, live, fields = [], [], []
+    size = 1
+    for dop in decoded.operations:
+        op = desc.operation(dop.field, dop.op_name)
+        env = bind_operands(desc, op.params, dop.operands)
+        bound.append((op, env))
+        size = max(size, op.costs.size)
+        if (op.action or op.side_effect
+                or any(isinstance(operand, BoundNt)
+                       for operand in env.values())):
+            live.append((op, env))
+            fields.append(dop.field)
+    return PreparedInstruction(decoded, tuple(live),
+                               instruction_cycles(bound), size,
+                               tuple(fields))
 
 
 @dataclass
@@ -63,13 +95,12 @@ class LoadedProgram:
     """The result of off-line disassembly at load time (paper §3.1)."""
 
     words: List[int]
-    decoded: List[Optional[DecodedInstruction]]
+    decoded: List[DecodedInstruction]
+    #: the load-time record of each word (:func:`prepare_instruction`)
+    prepared: List[PreparedInstruction]
     stalls: List[int]
     desc: ast.Description = field(repr=False, compare=False)
     origin: int = 0
-    prepared: List[Optional[PreparedInstruction]] = field(
-        default_factory=list
-    )
     _texts: Optional[List[str]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -133,11 +164,6 @@ class Scheduler:
         """Install a loaded program and copy it into instruction memory."""
         check_fits(self.desc, program.origin, len(program.words))
         self.program = program
-        if not program.prepared:
-            program.prepared = [
-                self._prepare(decoded) if decoded is not None else None
-                for decoded in program.decoded
-            ]
         im = self.desc.instruction_memory()
         for offset, word in enumerate(program.words):
             self.state.write(im.name, word, index=program.origin + offset)
@@ -153,33 +179,6 @@ class Scheduler:
         self._seq = 0
         if self.program is not None:
             self.state.pc = self.program.origin
-
-    def _prepare(self, decoded: DecodedInstruction) -> PreparedInstruction:
-        """Resolve each operation, bind its operands and sum the cycle
-        cost: the work that off-line disassembly lets a load do once.
-
-        Cycle cost and size count every operation, but ``bound`` keeps
-        only those an execution must run: an empty operation (a nop
-        filling an idle field) with no non-terminal operand writes
-        nothing.  Statistics are derived from the decoded words, so they
-        still count it.
-        """
-        bound = []
-        size = 1
-        for dop in decoded.operations:
-            op = self.desc.operation(dop.field, dop.op_name)
-            bound.append(
-                (op, bind_operands(self.desc, op.params, dop.operands))
-            )
-            size = max(size, op.costs.size)
-        live = tuple(
-            (op, env) for op, env in bound
-            if op.action or op.side_effect
-            or any(isinstance(operand, BoundNt) for operand in env.values())
-        )
-        return PreparedInstruction(
-            decoded, live, instruction_cycles(bound), size
-        )
 
     # ------------------------------------------------------------------
     # Halt / status
@@ -274,12 +273,7 @@ class Scheduler:
             raise SimulationError(
                 f"PC 0x{address:x} outside the loaded program"
             )
-        prepared = program.prepared[offset]
-        if prepared is None:
-            raise SimulationError(
-                f"executed undefined instruction memory at 0x{address:x}"
-            )
-        return prepared
+        return program.prepared[offset]
 
     # ------------------------------------------------------------------
     # Run loops

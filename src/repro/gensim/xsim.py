@@ -22,7 +22,12 @@ from .core import ProcessingCore
 from .disassembler import Disassembler
 from .hazards import HazardAnalyzer
 from .monitors import Monitor
-from .scheduler import Breakpoint, LoadedProgram, Scheduler
+from .scheduler import (
+    Breakpoint,
+    LoadedProgram,
+    Scheduler,
+    prepare_instruction,
+)
 from .state import State
 from .stats import RunResult, SimulationStats
 from .trace import TraceSink
@@ -48,11 +53,13 @@ class XSim:
 
     def load_words(self, words: Sequence[int], origin: int = 0) -> LoadedProgram:
         """Load raw instruction words; disassembles the program off-line
-        and binds each instruction's operands."""
+        and binds each instruction's operands once, for the hazard
+        profile and the processing core alike."""
         decoded = [self.disassembler.disassemble(word) for word in words]
-        stalls = self.hazards.stalls_for_program(decoded)
-        program = LoadedProgram(list(words), decoded, stalls, self.desc,
-                                origin)
+        prepared = [prepare_instruction(self.desc, d) for d in decoded]
+        stalls = self.hazards.stalls_for_program(prepared)
+        program = LoadedProgram(list(words), decoded, prepared, stalls,
+                                self.desc, origin)
         self.program = program
         self.scheduler.attach_program(program)
         return program

@@ -67,7 +67,7 @@ from ..codegen.kernels import resolve_kernels
 from ..errors import CodegenError, IsdlSyntaxError, ReproError
 from ..explore import strategies as strategy_registry
 from ..explore.explorer import Explorer
-from ..explore.metrics import CostWeights
+from ..explore.metrics import DEFAULT_SIM_BACKEND, CostWeights
 from ..explore.parallel import EvalRequest, ParallelEvaluator
 from ..isdl import fingerprint
 from ..isdl.ast import Description
@@ -94,7 +94,7 @@ __all__ = [
 KNOWN_BACKENDS = ("xsim", "block", "compiled")
 
 #: backend and step bound of a job whose payload names neither
-DEFAULT_BACKEND = "xsim"
+DEFAULT_BACKEND = DEFAULT_SIM_BACKEND
 DEFAULT_MAX_STEPS = 500_000
 
 #: diagnostic code recorded when the submitted ISDL text does not parse

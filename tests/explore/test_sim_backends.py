@@ -3,15 +3,20 @@
 Every backend derives its statistics from per-address execution counts,
 so ``evaluate`` returns the same cycles, utilization, power and cost on
 ``xsim``, ``compiled`` and ``block`` — and the same verdict, with the same
-reason, for a candidate one of them cannot run.
+reason, for a candidate one of them cannot run.  Candidates are measured
+on ``compiled`` unless a caller names another engine; ``xsim`` is the
+reference the default is checked against.
 """
 
 import pytest
 
 from repro.arch import description_for
+from repro.cache import ArtifactCache, kernel_fingerprint
 from repro.codegen.kernels import resolve_kernels
-from repro.explore import evaluate
+from repro.explore import ParallelEvaluator, evaluate, evaluation_key
+from repro.explore.metrics import _CHECK_FIELDS
 from repro.explore.transforms import resize_memory
+from repro.isdl import fingerprint
 
 BACKENDS = ("xsim", "compiled", "block")
 KERNELS = ("sum:10", "blockmove:8")
@@ -25,17 +30,25 @@ def kernels():
 @pytest.mark.parametrize("arch", ["spam", "spam2", "risc16"])
 def test_evaluation_is_backend_independent(arch, kernels):
     desc = description_for(arch)
+    cache = ArtifactCache()
+    runs = {backend: {"sim_backend": backend} for backend in BACKENDS}
+    runs["default"] = {"cache": cache}
     seen = {}
-    for backend in BACKENDS:
-        evaluation = evaluate(desc, kernels, sim_backend=backend)
+    for run, options in runs.items():
+        evaluation = evaluate(desc, kernels, **options)
         assert evaluation.feasible, evaluation.reason
-        seen[backend] = (
+        seen[run] = (
             evaluation.power_mw, evaluation.cost(),
             evaluation.stats.op_counts, evaluation.stats.field_busy,
-        )
+        ) + tuple(getattr(evaluation, name) for name in _CHECK_FIELDS)
     assert seen["xsim"][2], "no operation was counted"
-    assert seen["compiled"] == seen["xsim"]
-    assert seen["block"] == seen["xsim"]
+    for run in ("compiled", "block", "default"):
+        assert seen[run] == seen["xsim"], run
+    # every kernel of the default evaluation ran on the compiled engine
+    for kernel in kernels:
+        key = (fingerprint(desc), kernel_fingerprint(kernel), 500_000,
+               "compiled")
+        assert cache.peek("sim", key) is not None, kernel.name
 
 
 def test_stats_total_every_kernel(kernels):
@@ -62,3 +75,18 @@ def test_unrunnable_candidate_is_infeasible_on_every_backend(
     evaluation = evaluate(desc, kernels, sim_backend=backend)
     assert not evaluation.feasible
     assert evaluation.reason == reason
+
+
+def test_evaluate_stores_its_evaluation_under_the_compiled_engine(kernels):
+    desc = description_for("spam")
+    cache = ArtifactCache()
+    evaluate(desc, kernels, cache=cache)
+    key = evaluation_key(desc, kernels, 500_000, sim_backend="compiled")
+    assert cache.peek("evaluation", key) is not None
+    key = evaluation_key(desc, kernels, 500_000, sim_backend="xsim")
+    assert cache.peek("evaluation", key) is None
+
+
+def test_parallel_evaluator_defaults_to_the_compiled_engine(kernels):
+    assert ParallelEvaluator(kernels).sim_backend == "compiled"
+

@@ -109,9 +109,9 @@ def test_operating_point_table_empty_without_tech(sweep):
 def test_tech_free_evaluation_key_shape_is_unchanged():
     desc = description_for("spam2")
     kernels = [sum_kernel()]
-    bare = evaluation_key(desc, kernels, 1000)
+    bare = evaluation_key(desc, kernels, 1000, sim_backend="compiled")
     assert len(bare) == 4
-    extended = evaluation_key(desc, kernels, 1000,
+    extended = evaluation_key(desc, kernels, 1000, sim_backend="compiled",
                               tech=TechSpec(22, "HP", 2.0))
     assert extended[:4] == bare
     assert extended[4] == ("tech", 22, "HP", 2.0)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.gensim.core import INTRINSIC_IMPLS, ProcessingCore
 from repro.gensim.disassembler import DecodedInstruction, DecodedOperation
-from repro.gensim.scheduler import Scheduler
+from repro.gensim.scheduler import prepare_instruction
 from repro.gensim.state import State
 from repro.isdl import load_string
 
@@ -59,7 +59,7 @@ def prepare(desc, field, *operations):
         DecodedOperation(field, name, operands)
         for name, operands in operations
     ))
-    return Scheduler(desc, State(desc), ProcessingCore())._prepare(decoded)
+    return prepare_instruction(desc, decoded)
 
 
 def execute(desc, state, op_name, operands):

@@ -6,17 +6,20 @@ from repro.asm import Assembler
 from repro.encoding.signature import SignatureTable
 from repro.gensim.disassembler import Disassembler
 from repro.gensim.hazards import HazardAnalyzer
+from repro.gensim.scheduler import prepare_instruction
 
 
-def decode_program(desc, source):
+def prepare_program(desc, source):
+    """The load-time record of each word of *source*, as a load makes."""
     program = Assembler(desc).assemble(source)
     dis = Disassembler(desc, SignatureTable(desc))
-    return [dis.disassemble(word) for word in program.words]
+    return [prepare_instruction(desc, dis.disassemble(word))
+            for word in program.words]
 
 
 def stalls(desc, source):
-    decoded = decode_program(desc, source)
-    return HazardAnalyzer(desc).stalls_for_program(decoded)
+    return HazardAnalyzer(desc).stalls_for_program(
+        prepare_program(desc, source))
 
 
 def test_no_stalls_for_latency_one(risc16_desc):
@@ -121,13 +124,13 @@ def test_vliw_parallel_ops_profiled_together(spam_desc):
 
 
 def test_profile_cache_reuses_identical_instructions(spam_desc):
-    decoded = decode_program(spam_desc, """
+    program = prepare_program(spam_desc, """
         add r1, r1, #1
         add r1, r1, #1
         halt
 """)
     analyzer = HazardAnalyzer(spam_desc)
-    analyzer.stalls_for_program(decoded)
+    analyzer.stalls_for_program(program)
     assert len(analyzer._profile_cache) == 2  # add-line + halt
 
 
@@ -150,8 +153,8 @@ def test_nt_side_effect_write_counts(acc8_desc):
 def test_conditional_pc_write_appears_in_profile(risc16_desc):
     """A conditional branch is still a PC writer for hazard purposes —
     the ``if`` guard must not hide the write from the profile."""
-    decoded = decode_program(risc16_desc, "loop: bne loop - .\n")
-    profile = HazardAnalyzer(risc16_desc).profile(decoded[0])
+    program = prepare_program(risc16_desc, "loop: bne loop - .\n")
+    profile = HazardAnalyzer(risc16_desc).profile(program[0])
     written = {access[0] for access, _, _ in profile.writes}
     assert "PC" in written
 
@@ -169,10 +172,10 @@ loop:   bne loop - .
 
 
 def test_branch_condition_read_is_in_profile(risc16_desc):
-    decoded = decode_program(risc16_desc, "cmp r1, r2\nloop: bne loop - .\n")
+    program = prepare_program(risc16_desc, "cmp r1, r2\nloop: bne loop - .\n")
     analyzer = HazardAnalyzer(risc16_desc)
-    cmp_writes = {a[0] for a, _, _ in analyzer.profile(decoded[0]).writes}
-    bne_reads = {a[0] for a in analyzer.profile(decoded[1]).reads}
+    cmp_writes = {a[0] for a, _, _ in analyzer.profile(program[0]).writes}
+    bne_reads = {a[0] for a in analyzer.profile(program[1]).reads}
     # the branch reads what cmp writes (flag storage), so a longer-latency
     # flag producer *would* stall it — the dependence edge exists
     assert cmp_writes & bne_reads
@@ -189,8 +192,8 @@ def test_same_cycle_side_effect_needs_no_stall(acc8_desc):
         halt
 """)
     assert result == [0, 0, 0, 0]
-    decoded = decode_program(acc8_desc, "add (X)+\n")
-    profile = HazardAnalyzer(acc8_desc).profile(decoded[0])
+    program = prepare_program(acc8_desc, "add (X)+\n")
+    profile = HazardAnalyzer(acc8_desc).profile(program[0])
     x_writes = [
         (access, latency)
         for access, latency, _ in profile.writes
@@ -222,5 +225,5 @@ def test_hazard_window_spans_program_end_without_consumer(spam_desc):
 def test_empty_and_single_word_programs(risc16_desc):
     analyzer = HazardAnalyzer(risc16_desc)
     assert analyzer.stalls_for_program([]) == []
-    decoded = decode_program(risc16_desc, "halt\n")
-    assert analyzer.stalls_for_program(decoded) == [0]
+    program = prepare_program(risc16_desc, "halt\n")
+    assert analyzer.stalls_for_program(program) == [0]

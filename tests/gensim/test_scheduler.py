@@ -1,9 +1,11 @@
 """Tests for the scheduler: sequencing, stalls, latency, breakpoints."""
 
+import sys
+
 import pytest
 
-from repro.arch import prepare
-from repro.arch.workloads import risc16_sum_loop
+from repro.arch import description_for, prepare
+from repro.arch.workloads import risc16_sum_loop, workloads_for
 from repro.errors import SimulationError
 from repro.gensim.xsim import XSim
 
@@ -260,6 +262,42 @@ def test_run_binds_no_operands_after_load(monkeypatch):
     for storage, contents in workload.expected.items():
         for index, value in contents.items():
             assert sim.read(storage, index) == value
+
+
+@pytest.mark.parametrize("arch", ["spam", "acc8"])
+@pytest.mark.parametrize("engine", ["xsim", "compiled", "block"])
+def test_load_binds_each_decoded_operation_once(monkeypatch, engine, arch):
+    # the hazard profile, the executor and the block compiler read one
+    # binding per operation, made at load
+    from repro.asm import Assembler
+    from repro.gensim import core, simulator_for
+
+    desc = description_for(arch)
+    workload = workloads_for(arch)[0]
+    program = Assembler(desc).assemble(workload.source)
+    real = core.bind_operands
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # every caller of the binder; its own recursion into non-terminal
+    # operands is part of one binding
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("repro.gensim.") and name != core.__name__
+                and getattr(module, "bind_operands", None) is real):
+            monkeypatch.setattr(module, "bind_operands", counting)
+    sim = simulator_for(desc, engine)
+    for storage, contents in workload.preload.items():
+        for index, value in contents.items():
+            sim.write(storage, value, index)
+    sim.load_words(program.words, program.origin)
+    decoded = [sim.disassembler.disassemble(word) for word in program.words]
+    operations = sum(len(d.operations) for d in decoded)
+    assert len(calls) == operations
+    sim.run_to_completion()
+    assert len(calls) == operations
 
 
 def test_prepare_leaves_out_empty_operations(spam_desc):

@@ -51,15 +51,18 @@ def test_accepted_jobs_survive_sigkill_and_restart(tmp_path):
     proc, url = start_daemon(data_dir)
     try:
         client = ServeClient(url)
-        # distinct jobs: the one worker thread cannot finish them all
-        # before the kill lands
+        # the first job runs for about two seconds on the reference
+        # engine, so the one worker thread is still measuring it, with
+        # the three distinct jobs behind it queued, when the kill lands
+        # three HTTP round trips later
+        jobs = [{"arch": "risc16", "workloads": ["sum:12000"],
+                 "backend": "xsim", "max_steps": 200_000}]
+        jobs += [{"arch": "spam2", "workloads": [f"sum:{size}"],
+                  "backend": "block", "max_steps": 200_000}
+                 for size in (96, 128, 160)]
         ids = []
-        for size in (96, 128, 160, 192):
-            record = client.submit({
-                "arch": "spam2", "workloads": [f"sum:{size}"],
-                "backend": "block", "max_steps": 200_000,
-                "timeout_s": 30.0,
-            })
+        for job in jobs:
+            record = client.submit(dict(job, timeout_s=30.0))
             assert record["state"] in ("queued", "running"), record
             ids.append(record["id"])
         os.kill(proc.pid, signal.SIGKILL)

@@ -617,6 +617,22 @@ def test_admitted_warning_only_description_succeeds():
         assert getattr(done.evaluation, metric) == getattr(want, metric)
 
 
+def test_job_without_a_backend_runs_on_compiled_like_xsim():
+    config = ServiceConfig(workers=1, static_check=False)
+    with EvaluationService(config) as service:
+        default = service.submit(payload(workloads=["sum:8"]))
+        reference = service.submit(payload(workloads=["sum:8"],
+                                           backend="xsim"))
+        done = [service.wait(job.id, timeout=120.0)
+                for job in (default, reference)]
+    assert all(job.state is JobState.SUCCEEDED for job in done)
+    records = [job.to_dict() for job in done]
+    assert records[0]["backend"] == "compiled"
+    assert records[1]["backend"] == "xsim"
+    assert records[0]["result"] == records[1]["result"]
+    assert counter(service, "serve.evaluations_run") == 2
+
+
 @pytest.mark.parametrize("share_evaluations", [True, False])
 def test_real_evaluation_and_cache_dedupe_across_time(share_evaluations):
     config = ServiceConfig(workers=1, static_check=False,
