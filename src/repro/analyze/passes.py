@@ -7,8 +7,10 @@ semantic checker first — a description that is not well-formed is reported
 and the deeper passes are skipped, because they assume a checked AST — and
 then every registered pass, each under its own :mod:`repro.obs` span.
 
-:func:`check_static` is the exploration-loop entry point: the same
-pipeline, memoized in an :class:`~repro.cache.ArtifactCache` by the
+:func:`check_static` is the exploration-loop entry point: the semantic
+stage and the passes that can emit an error decide whether a candidate is
+accepted, and only a rejection runs the full pipeline, to explain itself.
+The answer is memoized in an :class:`~repro.cache.ArtifactCache` by the
 description's structural fingerprint, so a sweep that re-proposes a known
 candidate (or re-runs warm) pays a dictionary lookup.
 
@@ -111,12 +113,18 @@ class PassContext:
 
 @dataclass(frozen=True)
 class AnalysisPass:
-    """A registered analysis: name, code range, and the pass function."""
+    """A registered analysis: name, code range, and the pass function.
+
+    *emits_errors* says whether the pass can report an error, and so
+    reject a candidate; :func:`check_static` runs only those passes
+    unless one of them rejects.
+    """
 
     name: str
     codes: str  # e.g. "ISDL101-ISDL102"
     description: str
     run: Callable[[PassContext], List[Diagnostic]]
+    emits_errors: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -822,11 +830,13 @@ ALL_PASSES: Tuple[AnalysisPass, ...] = (
         "decode-ambiguity", "ISDL101-ISDL102",
         "operations/options whose constant signatures can match one word",
         pass_decode_ambiguity,
+        emits_errors=True,
     ),
     AnalysisPass(
         "constraints", "ISDL202-ISDL203",
         "unsatisfiable and vacuous boolean constraints",
         pass_constraints,
+        emits_errors=True,
     ),
     AnalysisPass(
         "rtl-dataflow", "ISDL301-ISDL303",
@@ -940,18 +950,42 @@ def check_static(desc: ast.Description, *,
                  cache=None,
                  passes: Optional[Sequence[AnalysisPass]] = None,
                  parent=None) -> AnalysisResult:
-    """Analyze *desc*, memoized by its structural fingerprint.
+    """The validity gate: accept or reject *desc*, verdict first.
 
-    This is the validity gate the exploration engine calls per candidate:
-    with an :class:`~repro.cache.ArtifactCache` attached the analysis runs
-    once per distinct description and warm sweeps pay a lookup.  *parent*
-    is the incremental-build hint threaded through to the shared
-    signature table (see :meth:`repro.cache.ArtifactCache.signature_table`).
+    The exploration engine and serve admission call this per candidate.
+    The semantic stage and the selected passes that can emit an error
+    (:attr:`AnalysisPass.emits_errors`) decide.  When they find no
+    error, their result is the answer, and its ``passes`` names only the
+    stages that ran: the warning-only lints would change nothing about
+    an accepted candidate.  When they find one, the answer is the full
+    :func:`analyze` run, so a rejection carries exactly the diagnostics
+    and ``passes`` that ``repro-lint`` reports.  A warning-only pass
+    that would crash (ISDL901) on an accepted candidate therefore goes
+    unseen here; the gate fails open, and :func:`analyze` still reports
+    the crash.
+
+    With an :class:`~repro.cache.ArtifactCache` attached the answer is
+    memoized under ``analysis`` by the structural fingerprint, so warm
+    sweeps pay a lookup.  *parent* is the incremental-build hint
+    threaded through to the shared signature table (see
+    :meth:`repro.cache.ArtifactCache.signature_table`).
     """
+    selected = ALL_PASSES if passes is None else tuple(passes)
     if cache is None:
-        return analyze(desc, passes=passes)
+        return _gate(desc, selected)
     fp = fingerprint(desc)
-    builder = lambda: analyze(  # tiny memo thunk
-        desc, passes=passes, cache=cache, fp=fp, parent=parent,
+    return cache.analysis(
+        desc, lambda: _gate(desc, selected, cache=cache, fp=fp,
+                            parent=parent),
+        fp=fp,
     )
-    return cache.analysis(desc, builder, fp=fp)
+
+
+def _gate(desc: ast.Description, selected: Sequence[AnalysisPass],
+          **context) -> AnalysisResult:
+    verdict = analyze(
+        desc, passes=[p for p in selected if p.emits_errors], **context
+    )
+    if verdict.ok():
+        return verdict
+    return analyze(desc, passes=selected, **context)

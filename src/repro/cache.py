@@ -48,7 +48,7 @@ __all__ = ["ArtifactCache", "CacheStats", "kernel_fingerprint"]
 #: persisted artifact (an evaluation's statistics or power, a program's
 #: encoding), so a disk cache written by an older build misses instead of
 #: serving its stale results.
-DISK_SCHEMA_VERSION = 1
+DISK_SCHEMA_VERSION = 2
 
 
 # Identity-keyed memo of kernel digests (see isdl.fingerprint._memoized)

@@ -2,8 +2,9 @@
 
 Runs the full paper §4 pipeline: node extraction, the resource-sharing
 matrix, maximal-clique allocation (Fig. 5), datapath construction with
-generated decode logic (§4.2), Verilog emission, and the technology-library
-estimates that stand in for the Synopsys/LSI-10K flow.  The result carries
+generated decode logic (§4.2), the Verilog module's line count (the text
+itself is emitted when read), and the technology-library estimates that
+stand in for the Synopsys/LSI-10K flow.  The result carries
 everything Table 2 reports: cycle length (ns), lines of Verilog, die size
 (grid cells), and synthesis time (s).
 """
@@ -28,16 +29,24 @@ from .netlist import Netlist
 from .nodes import HwNode, NodeId, extract_nodes, extract_nodes_incremental
 from .sharing import SharingAnalysis, SharingRecord, adjacency_incremental
 from .timing import TimingReport, estimate_timing
-from .verilog import count_lines, emit_verilog
+from .verilog import emit_verilog, verilog_line_count
 
 
 @dataclass
 class HardwareModel:
-    """The output of one HGEN run."""
+    """The output of one HGEN run.
+
+    The Verilog module is not kept: :attr:`verilog` emits it from the
+    netlist when read (the ``hgen`` CLI, the examples), and
+    :attr:`verilog_lines`, Table 2's line count, is counted from the
+    netlist during synthesis, so a model in the artifact cache holds no
+    text.
+    """
 
     desc: ast.Description
     netlist: Netlist
-    verilog: str
+    #: non-blank lines of :attr:`verilog` (Table 2's "Lines of Verilog")
+    verilog_lines: int
     nodes: List[HwNode]
     cliques: List[List[int]]
     allocation: Optional[Dict[NodeId, int]]
@@ -63,8 +72,9 @@ class HardwareModel:
         return self.timing.cycle_ns
 
     @property
-    def verilog_lines(self) -> int:
-        return count_lines(self.verilog)
+    def verilog(self) -> str:
+        """The synthesizable Verilog module, emitted on every read."""
+        return emit_verilog(self.desc, self.netlist)
 
     @property
     def die_size(self) -> float:
@@ -155,8 +165,8 @@ def synthesize(
     been built with the same *share*/*use_constraints* flags.  The result
     is equal to a cold build by construction — every reuse predicate is
     "the inputs this unit reads are byte-identical" — and the datapath,
-    Verilog, and estimates are always re-derived (they are cheap and
-    globally numbered).
+    Verilog line count, and estimates are always re-derived (they are
+    cheap and globally numbered).
     """
     with obs.span("hgen.synthesize", desc=desc.name, share=share):
         start = time.perf_counter()
@@ -216,7 +226,7 @@ def synthesize(
         with obs.span("hgen.datapath"):
             netlist = build_datapath(desc, table, allocation)
         with obs.span("hgen.verilog"):
-            verilog = emit_verilog(desc, netlist)
+            verilog_lines = verilog_line_count(desc, netlist)
         with obs.span("hgen.estimate"):
             area = estimate_area(desc, netlist)
             timing = estimate_timing(desc, netlist)
@@ -225,7 +235,7 @@ def synthesize(
     return HardwareModel(
         desc=desc,
         netlist=netlist,
-        verilog=verilog,
+        verilog_lines=verilog_lines,
         nodes=nodes,
         cliques=cliques,
         allocation=allocation,

@@ -48,6 +48,52 @@ def count_lines(verilog: str) -> int:
     return sum(1 for line in verilog.splitlines() if line.strip())
 
 
+#: cells :class:`_Emitter` writes as one continuous assignment each
+_ONE_LINE_CELLS = (Const, Concat, Sext, Decode, PriorityMux, RegRead)
+
+
+def verilog_line_count(desc: ast.Description, netlist: Netlist) -> int:
+    """``count_lines(emit_verilog(desc, netlist))`` without the text.
+
+    Counts the non-blank lines :class:`_Emitter` would write, section by
+    section; every line it writes is non-blank except the empty section
+    separators.  A change to the emitter's layout must change this count
+    with it (the HGEN golden digests pin both).
+    """
+    lines = 6  # banner comments, module header, ports
+    lines += 1 + len(desc.storages)  # state comment, one reg per storage
+    lines += 1  # datapath comment
+    macros = set()
+    for cell in netlist.cells:
+        if cell.out is None:
+            continue
+        if isinstance(cell, Unit):
+            if cell.op in _FP_MACROS:
+                macros.add(_FP_MACROS[cell.op])
+                lines += 2  # output wire and macro instance
+            else:
+                lines += 1
+        elif isinstance(cell, _ONE_LINE_CELLS):
+            lines += 1
+    lines += 1  # write-back comment
+    pc_name = desc.program_counter().name
+    targets = set()
+    for write in netlist.writes:
+        if write.delay > 0:
+            # value and enable registers (and index), each declared and
+            # shifted once per stage, inside one always block
+            registers = 2 if write.index is None else 3
+            lines += registers * (1 + write.delay) + 2
+        targets.add(write.storage)
+        lines += 1  # the guarded commit
+    for storage_name in targets:
+        # one always block per storage; the PC's also increments it
+        lines += 2 + (storage_name == pc_name)
+    lines += 1  # endmodule
+    lines += 3 * len(macros)  # one black-box stub per macro kind
+    return lines
+
+
 class _Emitter:
     def __init__(self, desc: ast.Description, netlist: Netlist):
         self.desc = desc

@@ -23,20 +23,28 @@ hardware-synthesis sharing reuse) key their reuse decisions on.
 Fingerprints and trees are memoized per AST object: exploration
 transforms are functional (they never mutate a description in place, and
 untouched sub-objects keep their identity), so a ``Description`` object's
-canonical text is immutable for its lifetime.  Callers that mutate a
-description in place must treat it as a *new* object (copy it) or the
-memo will serve stale digests.
+canonical text is immutable for its lifetime.  The same holds one level
+down: the text of a token, non-terminal, storage, alias or operation
+depends on that object alone, so a tree takes each such text, and its
+digest, from a bounded identity memo and renders only the objects it has
+not seen — a child renders the units its transform replaced, and shares
+the rest with its parent.  The root is still hashed over the whole
+document.  Callers that mutate a description or any of its units in
+place must treat it as a *new* object (copy it) or the memos will serve
+stale digests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 import weakref
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Mapping, Tuple, Union
 
 from . import ast
-from .printer import description_units, operation_lines
+from .printer import OBJECT_UNIT_KINDS, operation_lines, unit_sources
 
 
 def fingerprint_text(text: str) -> str:
@@ -67,6 +75,11 @@ class FingerprintTree:
     fields: Tuple[str, ...]
     constraints: str
     attributes: str
+    #: deltas to this tree, keyed by the parent's root (see
+    #: :func:`fingerprint_delta`)
+    _deltas: Dict[str, "FingerprintDelta"] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     @property
     def op_order(self) -> Tuple[Tuple[str, str], ...]:
@@ -76,19 +89,36 @@ class FingerprintTree:
 
 _EMPTY = fingerprint_text("")
 
-# Identity-keyed memo: id(obj) -> (weakref to obj, cached value).  The
-# weakref callback evicts the entry when the object dies, so a recycled
-# id() can never alias a stale digest; the ``ref() is obj`` check guards
-# the (impossible under CPython, but cheap to exclude) race where the
-# entry outlives its object.
+#: Most unit texts the unit memo holds.  An entry lives as long as its
+#: object, so a sweep holds about one description's units per live
+#: round (SPAM has 62) plus the units its transforms replaced.  The
+#: bound is for ``repro-serve``, which keeps every served description
+#: alive in its job record: without it the memo would grow with every
+#: distinct job.  Saturated, it holds under 1 MB.
+UNIT_MEMO_ENTRIES = 1024
+
+# Identity-keyed memo of whole trees: id(obj) -> (weakref to obj, tree).
+# The weakref callback evicts the entry when the object dies, so a
+# recycled id() can never alias a stale tree; the ``ref() is obj`` check
+# guards the (impossible under CPython, but cheap to exclude) race where
+# the entry outlives its object.
 _TREE_MEMO: Dict[int, Tuple["weakref.ref", FingerprintTree]] = {}
-_UNIT_MEMO: Dict[int, Tuple["weakref.ref", str]] = {}
+
+# Unit memo: id(unit object) -> (weakref to it, canonical text, digest),
+# least recently used first, evicted like the tree memo when the object
+# dies and by the LRU at the bound.  A lookup, an LRU touch and a death
+# eviction are single OrderedDict calls, atomic under the GIL; an insert
+# holds the lock with its LRU eviction, so serve's threads never push
+# the memo past its bound.
+_UNIT_MEMO: "OrderedDict[int, Tuple[weakref.ref, str, str]]" = OrderedDict()
+_UNIT_LOCK = threading.Lock()
 
 
 def clear_fingerprint_memo() -> None:
-    """Drop all memoized trees and unit digests (test isolation hook)."""
+    """Drop all memoized trees and unit texts (test isolation hook)."""
     _TREE_MEMO.clear()
-    _UNIT_MEMO.clear()
+    with _UNIT_LOCK:
+        _UNIT_MEMO.clear()
 
 
 def _memoized(memo, obj, build):
@@ -107,6 +137,32 @@ def _memoized(memo, obj, build):
     return value
 
 
+def _unit_text(obj, render) -> Tuple[str, str]:
+    """``(text, digest)`` of one token, non-terminal, storage, alias or
+    operation: *render* runs once per object while the object's entry
+    stays in the bounded memo."""
+    key = id(obj)
+    entry = _UNIT_MEMO.get(key)
+    if entry is not None and entry[0]() is obj:
+        try:
+            _UNIT_MEMO.move_to_end(key)
+        except KeyError:  # evicted by another thread meanwhile
+            pass
+        return entry[1], entry[2]
+    text = "\n".join(render(obj))
+    digest = fingerprint_text(text)
+    try:
+        ref = weakref.ref(obj, lambda _r, _k=key: _UNIT_MEMO.pop(_k, None))
+    except TypeError:
+        return text, digest  # not weakref-able: compute without caching
+    with _UNIT_LOCK:
+        _UNIT_MEMO[key] = (ref, text, digest)
+        _UNIT_MEMO.move_to_end(key)
+        if len(_UNIT_MEMO) > UNIT_MEMO_ENTRIES:
+            _UNIT_MEMO.popitem(last=False)
+    return text, digest
+
+
 def _build_tree(desc: ast.Description) -> FingerprintTree:
     header = _EMPTY
     fmt = _EMPTY
@@ -118,12 +174,17 @@ def _build_tree(desc: ast.Description) -> FingerprintTree:
     fields = []
     constraints = _EMPTY
     attributes = _EMPTY
-    doc_lines = []
-    for kind, key, lines in description_units(desc):
-        doc_lines += lines
-        if kind == "frame":
-            continue
-        digest = fingerprint_text("\n".join(lines))
+    texts = []
+    for kind, key, source, render in unit_sources(desc):
+        if kind in OBJECT_UNIT_KINDS:
+            text, digest = _unit_text(source, render)
+        else:
+            text = "\n".join(render(source))
+            digest = (
+                fingerprint_text(text)
+                if kind not in ("frame", "field") else None
+            )
+        texts.append(text)
         if kind == "header":
             header = digest
         elif kind == "format":
@@ -144,8 +205,10 @@ def _build_tree(desc: ast.Description) -> FingerprintTree:
             constraints = digest
         elif kind == "attributes":
             attributes = digest
+    # every unit has at least one line, so joining the unit texts joins
+    # the document's lines
     return FingerprintTree(
-        root=fingerprint_text("\n".join(doc_lines) + "\n"),
+        root=fingerprint_text("\n".join(texts) + "\n"),
         header=header,
         format=fmt,
         tokens=tokens,
@@ -160,7 +223,11 @@ def _build_tree(desc: ast.Description) -> FingerprintTree:
 
 
 def fingerprint_tree(desc: ast.Description) -> FingerprintTree:
-    """The fingerprint tree of *desc*, memoized per AST object."""
+    """The fingerprint tree of *desc*, memoized per AST object.
+
+    A miss renders only the units whose objects the unit memo has not
+    seen (see :func:`_unit_text`); the tree equals a cold build's.
+    """
     return _memoized(_TREE_MEMO, desc, _build_tree)
 
 
@@ -179,13 +246,12 @@ def fingerprint(desc: ast.Description) -> str:
 def unit_fingerprint(op: ast.Operation) -> str:
     """Digest of one operation's canonical definition, memoized per object.
 
-    Matches the entry the operation would have in any tree's
-    ``operations`` mapping: the fragment is position-independent, so the
-    digest identifies the definition's *content* across descriptions.
+    Reads the unit-memo entry trees use, so it matches the entry the
+    operation would have in any tree's ``operations`` mapping: the
+    fragment is position-independent, so the digest identifies the
+    definition's *content* across descriptions.
     """
-    return _memoized(
-        _UNIT_MEMO, op, lambda o: fingerprint_text("\n".join(operation_lines(o)))
-    )
+    return _unit_text(op, operation_lines)[1]
 
 
 @dataclass(frozen=True)
@@ -300,9 +366,22 @@ def fingerprint_delta(
     parent: Union[ast.Description, FingerprintTree],
     child: Union[ast.Description, FingerprintTree],
 ) -> FingerprintDelta:
-    """Structural diff between two descriptions' fingerprint trees."""
+    """Structural diff between two descriptions' fingerprint trees.
+
+    Memoized on the child's tree by the parent's root, so an incremental
+    evaluation computes its delta once, however many of its stages ask
+    (the gate's signature table, each kernel's program, synthesis, and
+    simulator adoption).
+    """
     pt = parent if isinstance(parent, FingerprintTree) else fingerprint_tree(parent)
     ct = child if isinstance(child, FingerprintTree) else fingerprint_tree(child)
+    delta = ct._deltas.get(pt.root)
+    if delta is None:
+        delta = ct._deltas[pt.root] = _diff_trees(pt, ct)
+    return delta
+
+
+def _diff_trees(pt: FingerprintTree, ct: FingerprintTree) -> FingerprintDelta:
     pops, cops = pt.operations, ct.operations
     common = pops.keys() & cops.keys()
     changed = frozenset(k for k in common if pops[k] != cops[k])

@@ -8,7 +8,7 @@ The printer round-trips: ``parse(print(parse(s)))`` equals ``parse(s)``.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from . import ast, rtl
 
@@ -18,6 +18,18 @@ def print_description(desc: ast.Description) -> str:
     return "\n".join(
         line for _, _, lines in description_units(desc) for line in lines
     ) + "\n"
+
+
+#: A unit before rendering: ``(kind, key, source, render)``, where
+#: ``render(source)`` returns the unit's lines.
+UnitSource = Tuple[str, object, object, Callable[[object], List[str]]]
+
+#: Kinds whose lines depend on their *source* AST object alone, so a
+#: caller may render each such object once and reuse the lines wherever
+#: the object appears (:mod:`repro.isdl.fingerprint` does).
+OBJECT_UNIT_KINDS = frozenset(
+    ("token", "nonterminal", "storage", "alias", "operation")
+)
 
 
 def description_units(
@@ -36,39 +48,70 @@ def description_units(
     ``field`` (the ``field <name>`` opener; key is the field name),
     ``operation`` (key is ``(field, op)``), ``constraints``,
     ``attributes`` (whole sections — they are small and change as one).
+    Every group has at least one line.
     """
-    units: List[Tuple[str, object, List[str]]] = [
-        ("header", None, [f'processor "{desc.name}"', ""]),
-        ("format", None, _format_section(desc)),
-        ("frame", "global_open", ["section global_definitions"]),
+    return [
+        (kind, key, render(source))
+        for kind, key, source, render in unit_sources(desc)
+    ]
+
+
+_CLOSE = ("end", "")
+
+
+def unit_sources(desc: ast.Description) -> List[UnitSource]:
+    """:func:`description_units` before rendering, in the same order.
+
+    For the kinds in :data:`OBJECT_UNIT_KINDS` the source is the AST
+    object itself (a token, non-terminal, storage, alias or operation);
+    a frame's source is its own constant lines.
+    """
+    units: List[UnitSource] = [
+        ("header", None, desc.name, _header_lines),
+        ("format", None, desc.word_width, _format_lines),
+        ("frame", "global_open", ("section global_definitions",), list),
     ]
     for token in desc.tokens.values():
-        units.append(("token", token.name, ["    " + _token_text(token)]))
+        units.append(("token", token.name, token, _token_lines))
     for nt in desc.nonterminals.values():
-        units.append(("nonterminal", nt.name, _nonterminal_text(nt)))
-    units.append(("frame", "global_close", ["end", ""]))
-    units.append(("frame", "storage_open", ["section storage"]))
+        units.append(("nonterminal", nt.name, nt, _nonterminal_text))
+    units.append(("frame", "global_close", _CLOSE, list))
+    units.append(("frame", "storage_open", ("section storage",), list))
     for storage in desc.storages.values():
-        units.append(("storage", storage.name, [_storage_line(storage)]))
+        units.append(("storage", storage.name, storage, _storage_lines))
     for alias in desc.aliases.values():
-        units.append(("alias", alias.name, [_alias_line(alias)]))
-    units.append(("frame", "storage_close", ["end", ""]))
-    units.append(("frame", "instruction_open", ["section instruction_set"]))
+        units.append(("alias", alias.name, alias, _alias_lines))
+    units.append(("frame", "storage_close", _CLOSE, list))
+    units.append(
+        ("frame", "instruction_open", ("section instruction_set",), list)
+    )
     for fld in desc.fields:
-        units.append(("field", fld.name, [f"    field {fld.name}"]))
+        units.append(("field", fld.name, fld.name, _field_lines))
         for op in fld.operations:
             units.append(
-                ("operation", (fld.name, op.name), operation_lines(op))
+                ("operation", (fld.name, op.name), op, operation_lines)
             )
-        units.append(("frame", ("field_close", fld.name), ["    end"]))
-    units.append(("frame", "instruction_close", ["end", ""]))
-    constraint_lines = _constraint_section(desc)
-    if constraint_lines:
-        units.append(("constraints", None, constraint_lines))
-    optional_lines = _optional_section(desc)
-    if optional_lines:
-        units.append(("attributes", None, optional_lines))
+        units.append(("frame", ("field_close", fld.name), ("    end",), list))
+    units.append(("frame", "instruction_close", _CLOSE, list))
+    if desc.constraints:
+        units.append(
+            ("constraints", None, desc.constraints, _constraint_section)
+        )
+    if desc.attributes:
+        units.append(("attributes", None, desc.attributes, _optional_section))
     return units
+
+
+def _header_lines(name: str) -> List[str]:
+    return [f'processor "{name}"', ""]
+
+
+def _format_lines(word_width: int) -> List[str]:
+    return ["section format", f"    word {word_width}", "end", ""]
+
+
+def _field_lines(name: str) -> List[str]:
+    return [f"    field {name}"]
 
 
 def operation_lines(op: ast.Operation) -> List[str]:
@@ -82,25 +125,25 @@ def operation_lines(op: ast.Operation) -> List[str]:
     return out
 
 
-def _storage_line(storage: ast.Storage) -> str:
+def _storage_lines(storage: ast.Storage) -> List[str]:
     line = f"    {storage.kind.value} {storage.name} width {storage.width}"
     if storage.depth is not None:
         line += f" depth {storage.depth}"
-    return line
+    return [line]
 
 
-def _alias_line(alias: ast.Alias) -> str:
+def _alias_lines(alias: ast.Alias) -> List[str]:
     target = alias.storage
     if alias.index is not None:
         target += f"[{alias.index}]"
     if alias.hi is not None:
         lo = alias.lo if alias.lo is not None else alias.hi
         target += f"[{alias.hi}]" if alias.hi == lo else f"[{alias.hi}:{lo}]"
-    return f"    alias {alias.name} = {target}"
+    return [f"    alias {alias.name} = {target}"]
 
 
-def _format_section(desc) -> List[str]:
-    return ["section format", f"    word {desc.word_width}", "end", ""]
+def _token_lines(token: ast.TokenDef) -> List[str]:
+    return ["    " + _token_text(token)]
 
 
 def _token_text(token: ast.TokenDef) -> str:
@@ -181,11 +224,9 @@ def _block_text(keyword: str, stmts, indent: int) -> List[str]:
     return out
 
 
-def _constraint_section(desc) -> List[str]:
-    if not desc.constraints:
-        return []
+def _constraint_section(constraints) -> List[str]:
     out = ["section constraints"]
-    for constraint in desc.constraints:
+    for constraint in constraints:
         out.append("    require " + _cexpr_text(constraint.expr))
     out += ["end", ""]
     return out
@@ -203,11 +244,9 @@ def _cexpr_text(expr: ast.CExpr) -> str:
     raise TypeError(f"not a constraint expression: {expr!r}")
 
 
-def _optional_section(desc) -> List[str]:
-    if not desc.attributes:
-        return []
+def _optional_section(attributes) -> List[str]:
     out = ["section optional"]
-    for key, value in desc.attributes.items():
+    for key, value in attributes.items():
         out.append(f'    attribute {key} "{value}"')
     out += ["end", ""]
     return out

@@ -8,10 +8,12 @@ actually fired (otherwise these tests would pass vacuously).
 """
 
 import dataclasses
+import importlib
 
 import pytest
 
 from repro import obs
+from repro.analyze import check_static
 from repro.arch import description_for
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
@@ -19,7 +21,10 @@ from repro.encoding.signature import SignatureTable, decode_preserved
 from repro.explore import evaluate, transforms
 from repro.explore.metrics import INCREMENTAL_CHECK_ENV
 from repro.hgen import synthesize
-from repro.isdl import ast, fingerprint_delta
+from repro.isdl import ast, fingerprint, fingerprint_delta
+
+# the submodule; the package's ``fingerprint`` is the function
+fingerprint_module = importlib.import_module("repro.isdl.fingerprint")
 
 PUBLIC_FIELDS = (
     "feasible", "reason", "cycles", "stall_cycles", "cycle_ns",
@@ -188,6 +193,33 @@ def test_block_backend_adopts_unchanged_blocks():
         obs.disable(reset=True)
     assert_same_evaluation(cold, incr)
     assert adopted > 0
+
+
+@pytest.mark.parametrize("backend", ["compiled", "block"])
+def test_one_delta_per_incremental_evaluation(backend, monkeypatch):
+    """The gate's signature table, each kernel's program, synthesis and
+    simulator adoption all ask for the parent → child delta; it is
+    computed once for the pair."""
+    desc = description_for("risc16")
+    kernels = [sum_kernel(), sum_kernel(4, name="sum4")]
+    child = retimed_child(desc, "EX", "halt")
+    cache = ArtifactCache()
+    check_static(desc, cache=cache)
+    evaluate(desc, kernels, cache=cache, sim_backend=backend)
+    computed = []
+    diff_trees = fingerprint_module._diff_trees
+
+    def counting(parent_tree, child_tree):
+        computed.append(child_tree.root)
+        return diff_trees(parent_tree, child_tree)
+
+    monkeypatch.setattr(fingerprint_module, "_diff_trees", counting)
+    assert check_static(child, cache=cache, parent=desc).ok()
+    evaluate(child, kernels, cache=cache, sim_backend=backend, parent=desc)
+    assert computed == [fingerprint(child)]
+    # the stages did build off the parent
+    assert cache.stats.incremental_builds["sigtable"] == 1
+    assert cache.stats.incremental_builds["synth"] == 1
 
 
 def test_checked_incremental_mode(monkeypatch):
