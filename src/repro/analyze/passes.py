@@ -84,12 +84,11 @@ class PassContext:
 
     def __init__(self, desc: ast.Description,
                  table: Optional[SignatureTable] = None,
-                 cache=None, fp: Optional[str] = None, parent=None,
+                 cache=None, fp: Optional[str] = None,
                  programs: Optional[Sequence[Tuple]] = None):
         self.desc = desc
         self.cache = cache
         self.fp = fp
-        self.parent = parent
         self.programs: Tuple[Tuple[str, Tuple[int, ...], int], ...] = (
             tuple((name, tuple(words), origin)
                   for name, words, origin in programs)
@@ -103,9 +102,7 @@ class PassContext:
         (through the artifact cache when one is attached)."""
         if self._table is None:
             if self.cache is not None:
-                self._table = self.cache.signature_table(
-                    self.desc, self.fp, parent=self.parent
-                )
+                self._table = self.cache.signature_table(self.desc, self.fp)
             else:
                 self._table = SignatureTable(self.desc)
         return self._table
@@ -904,7 +901,6 @@ def analyze(desc: ast.Description, *,
             passes: Optional[Sequence[AnalysisPass]] = None,
             table: Optional[SignatureTable] = None,
             cache=None, fp: Optional[str] = None,
-            parent=None,
             programs: Optional[Sequence[Tuple]] = None) -> AnalysisResult:
     """Run the semantic stage plus every (selected) pass over *desc*.
 
@@ -927,7 +923,7 @@ def analyze(desc: ast.Description, *,
         )
         if well_formed:
             ctx = PassContext(desc, table=table, cache=cache, fp=fp,
-                              parent=parent, programs=programs)
+                              programs=programs)
             for analysis in selected:
                 with obs.span("analyze.pass", analysis=analysis.name):
                     try:
@@ -948,8 +944,8 @@ def analyze(desc: ast.Description, *,
 
 def check_static(desc: ast.Description, *,
                  cache=None,
-                 passes: Optional[Sequence[AnalysisPass]] = None,
-                 parent=None) -> AnalysisResult:
+                 passes: Optional[Sequence[AnalysisPass]] = None
+                 ) -> AnalysisResult:
     """The validity gate: accept or reject *desc*, verdict first.
 
     The exploration engine and serve admission call this per candidate.
@@ -966,17 +962,15 @@ def check_static(desc: ast.Description, *,
 
     With an :class:`~repro.cache.ArtifactCache` attached the answer is
     memoized under ``analysis`` by the structural fingerprint, so warm
-    sweeps pay a lookup.  *parent* is the incremental-build hint
-    threaded through to the shared signature table (see
-    :meth:`repro.cache.ArtifactCache.signature_table`).
+    sweeps pay a lookup, and the signature table the passes build is the
+    cache's, which the evaluation of an accepted candidate then reuses.
     """
     selected = ALL_PASSES if passes is None else tuple(passes)
     if cache is None:
         return _gate(desc, selected)
     fp = fingerprint(desc)
     return cache.analysis(
-        desc, lambda: _gate(desc, selected, cache=cache, fp=fp,
-                            parent=parent),
+        desc, lambda: _gate(desc, selected, cache=cache, fp=fp),
         fp=fp,
     )
 

@@ -3,11 +3,11 @@
 Every box of the paper's Figure-1 loop regenerates from the single ISDL
 description: signature tables, simulation results, assembled workload
 binaries, and synthesized hardware models.  During exploration the same
-description (or large parts of it) is evaluated over and over — the
-incumbent is re-simulated against new candidates, rejected candidates
-reappear in later sweeps, and benchmark reruns repeat whole trajectories.
-This module memoizes those artifacts behind a structural fingerprint
-(:func:`repro.isdl.fingerprint`) so repeated work is a dictionary lookup.
+description is evaluated over and over — the incumbent is re-simulated
+against new candidates, rejected candidates reappear in later sweeps, and
+benchmark reruns repeat whole trajectories.  This module memoizes those
+artifacts behind a structural fingerprint (:func:`repro.isdl.fingerprint`)
+so repeated work is a dictionary lookup.
 
 Two layers:
 
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from . import obs
-from .isdl.fingerprint import _memoized
+from .isdl.fingerprint import _memoized, fingerprint
 
 __all__ = ["ArtifactCache", "CacheStats", "kernel_fingerprint"]
 
@@ -84,12 +84,6 @@ class CacheStats:
     disk_errors: int = 0
     hits_by_kind: Counter = field(default_factory=Counter)
     misses_by_kind: Counter = field(default_factory=Counter)
-    #: artifacts built incrementally off a parent, per kind
-    incremental_builds: Counter = field(default_factory=Counter)
-    #: sub-units (rows, node groups, ...) carried over, per kind
-    units_reused: Counter = field(default_factory=Counter)
-    #: sub-units rebuilt during incremental builds, per kind
-    units_rebuilt: Counter = field(default_factory=Counter)
 
     @property
     def lookups(self) -> int:
@@ -113,15 +107,6 @@ class CacheStats:
                 f"  {kind:12s} {self.hits_by_kind[kind]:5d} hit"
                 f" {self.misses_by_kind[kind]:5d} miss"
             )
-        if self.incremental_builds:
-            lines.append("incremental:")
-            for kind in sorted(self.incremental_builds):
-                lines.append(
-                    f"  {kind:12s} {self.incremental_builds[kind]:5d}"
-                    f" build{'' if self.incremental_builds[kind] == 1 else 's'}"
-                    f" ({self.units_reused[kind]} units reused,"
-                    f" {self.units_rebuilt[kind]} rebuilt)"
-                )
         return "\n".join(lines)
 
 
@@ -269,107 +254,26 @@ class ArtifactCache:
     # Typed helpers — the key conventions of the tool chain
     # ------------------------------------------------------------------
 
-    def description_fingerprint(self, desc) -> str:
-        """Fingerprint a description (memoized per AST object)."""
-        from .isdl import fingerprint
-
-        return fingerprint(desc)
-
-    @staticmethod
-    def _parent_delta(parent, child):
-        """FingerprintDelta parent → child, or None without a parent."""
-        if parent is None:
-            return None
-        from .isdl.fingerprint import fingerprint_delta
-
-        return fingerprint_delta(parent, child)
-
-    def note_incremental(self, kind: str, counts: Dict[str, int]) -> None:
-        """Fold a builder's per-unit reuse counts into the stats.
-
-        *counts* is the ``reuse_counts`` attribute incremental builders
-        expose: keys ending in ``reused``/``copied`` count carried-over
-        units, keys ending in ``rebuilt``/``computed``/``partitioned``
-        count rebuilt ones.
-        """
-        reused = sum(v for k, v in counts.items()
-                     if k.endswith(("reused", "copied")))
-        rebuilt = sum(v for k, v in counts.items()
-                      if k.endswith(("rebuilt", "computed", "partitioned")))
-        with self._lock:
-            self.stats.incremental_builds[kind] += 1
-            self.stats.units_reused[kind] += reused
-            self.stats.units_rebuilt[kind] += rebuilt
-        obs.add("cache.incremental.builds")
-        obs.add(f"cache.incremental.{kind}.reused", reused)
-        obs.add(f"cache.incremental.{kind}.rebuilt", rebuilt)
-
-    def signature_table(self, desc, fp: Optional[str] = None, *,
-                        parent=None):
-        """Memoized :class:`~repro.encoding.signature.SignatureTable`.
-
-        With *parent* (the description this one was mutated from) a miss
-        builds incrementally: rows of delta-unchanged operations are
-        carried over from the parent's cached table when it is present.
-        """
+    def signature_table(self, desc, fp: Optional[str] = None):
+        """Memoized :class:`~repro.encoding.signature.SignatureTable`."""
         from .encoding.signature import SignatureTable
 
-        fp = fp or self.description_fingerprint(desc)
-
-        def build():
-            parent_table = (
-                self.peek("sigtable", self.description_fingerprint(parent))
-                if parent is not None else None
-            )
-            if parent_table is None:
-                return SignatureTable(desc)
-            delta = self._parent_delta(parent, desc)
-            table = SignatureTable(desc, reuse_from=(parent_table, delta))
-            self.note_incremental("sigtable", table.reuse_counts)
-            return table
-
-        return self.get_or_build("sigtable", fp, build)
+        return self.get_or_build(
+            "sigtable", fp or fingerprint(desc), lambda: SignatureTable(desc)
+        )
 
     def assembled(self, desc, kernel, builder: Callable[[], Any],
-                  fp: Optional[str] = None, *, parent=None):
-        """Memoized assembled workload binary for (description, kernel).
-
-        With *parent*, a miss first checks whether the parent's cached
-        program for the same kernel is still valid — the delta must prove
-        the whole instruction set, encoding environment, storages, and
-        constraints unchanged (:attr:`FingerprintDelta.assembly_reusable`)
-        — and adopts it without re-running the assembler.
-        """
-        fp = fp or self.description_fingerprint(desc)
-
-        def build():
-            if parent is not None:
-                parent_program = self.peek(
-                    "program",
-                    (self.description_fingerprint(parent),
-                     kernel_fingerprint(kernel)),
-                )
-                if parent_program is not None:
-                    delta = self._parent_delta(parent, desc)
-                    if delta.assembly_reusable:
-                        self.note_incremental("program", {"reused": 1})
-                        return parent_program
-            return builder()
-
+                  fp: Optional[str] = None):
+        """Memoized assembled workload binary for (description, kernel)."""
         return self.get_or_build(
-            "program", (fp, kernel_fingerprint(kernel)), build
+            "program", (fp or fingerprint(desc), kernel_fingerprint(kernel)),
+            builder,
         )
 
     def synthesized(self, desc, fp: Optional[str] = None, *,
                     share: bool = True, use_constraints: bool = True,
-                    parent=None, tech=None, table=None):
+                    tech=None, table=None):
         """Memoized :func:`repro.hgen.synthesize` hardware model.
-
-        With *parent*, a miss synthesizes incrementally off the parent's
-        cached model (same *share*/*use_constraints* key): unchanged
-        operations keep their extracted nodes, stable compatibility-matrix
-        entries are copied, and per-component clique partitions are reused
-        by structural digest.
 
         *tech* (a :class:`repro.tech.TechModel`) projects the returned
         model into a scaled technology **after** the cache fetch — the
@@ -381,29 +285,10 @@ class ArtifactCache:
         """
         from .hgen import synthesize
 
-        fp = fp or self.description_fingerprint(desc)
-
-        def build():
-            reuse_from = None
-            if parent is not None:
-                parent_model = self.peek(
-                    "synth",
-                    (self.description_fingerprint(parent), share,
-                     use_constraints),
-                )
-                if parent_model is not None:
-                    reuse_from = (
-                        parent_model, self._parent_delta(parent, desc)
-                    )
-            model = synthesize(desc, share=share,
-                               use_constraints=use_constraints,
-                               table=table, reuse_from=reuse_from)
-            if reuse_from is not None:
-                self.note_incremental("synth", model.reuse_counts)
-            return model
-
         model = self.get_or_build(
-            "synth", (fp, share, use_constraints), build
+            "synth", (fp or fingerprint(desc), share, use_constraints),
+            lambda: synthesize(desc, share=share,
+                               use_constraints=use_constraints, table=table),
         )
         if tech is not None:
             model = model.with_tech(tech)
@@ -419,22 +304,10 @@ class ArtifactCache:
         table serves every simulator measuring the same candidate.
         Memory layer only — compiled code objects do not pickle.
         """
-        fp = fp or self.description_fingerprint(desc)
         return self.get_or_build(
-            "blocktable", (fp, tuple(words), origin), builder
+            "blocktable", (fp or fingerprint(desc), tuple(words), origin),
+            builder,
         )
-
-    def peek_block_table(self, desc, words, origin: int,
-                         fp: Optional[str] = None):
-        """Non-counting lookup of a cached block table; None on miss.
-
-        Used by the block simulator to find the *parent* candidate's
-        table for the same program so delta-unchanged compiled blocks can
-        be adopted instead of recompiled (see
-        :meth:`repro.gensim.blocksim.BlockSimulator.load_words`).
-        """
-        fp = fp or self.description_fingerprint(desc)
-        return self.peek("blocktable", (fp, tuple(words), origin))
 
     def evaluation(self, key: Hashable, builder: Callable[[], Any]):
         """Memoized whole-candidate evaluation (see explore.metrics)."""
@@ -448,5 +321,4 @@ class ArtifactCache:
         nothing but the description, so the explorer's validity gate pays
         one run per distinct candidate and a lookup thereafter.
         """
-        fp = fp or self.description_fingerprint(desc)
-        return self.get_or_build("analysis", fp, builder)
+        return self.get_or_build("analysis", fp or fingerprint(desc), builder)

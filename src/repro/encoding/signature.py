@@ -18,7 +18,7 @@ HGEN decode-logic generator (paper §4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .. import obs
 from ..errors import (
@@ -247,53 +247,27 @@ class SignatureTable:
     per field and per non-terminal, derived from the rows on first use.
     """
 
-    def __init__(self, desc: ast.Description,
-                 reuse_from: Optional[Tuple["SignatureTable", object]] = None):
+    def __init__(self, desc: ast.Description):
         self.desc = desc
         self.operation_signatures: Dict[Tuple[str, str], Signature] = {}
         self.option_signatures: Dict[Tuple[str, str], Signature] = {}
-        #: (rows carried over, rows built) when built incrementally.
-        self.reuse_counts: Dict[str, int] = {}
         self._field_indexes: Dict[str, _DecodeIndex] = {}
         self._nt_indexes: Dict[str, _DecodeIndex] = {}
-        carry: Dict[Tuple[str, str], Signature] = {}
-        if reuse_from is not None:
-            # A row is a pure function of the operation's encoding, the
-            # word width, and its parameters' value widths — so with the
-            # format/token/NT environment identical, an unchanged
-            # operation's row is byte-identical and carries over.
-            parent, delta = reuse_from
-            if delta.global_env_unchanged:
-                carry = parent.operation_signatures
         with obs.span("encoding.sigtable", desc=desc.name):
-            reused = built = 0
             for fld, op in desc.operations():
-                key = (fld.name, op.name)
-                if carry and delta.op_unchanged(*key):
-                    self.operation_signatures[key] = carry[key]
-                    reused += 1
-                    continue
                 widths = self._value_widths(op.params)
-                self.operation_signatures[key] = (
+                self.operation_signatures[(fld.name, op.name)] = (
                     Signature.from_encoding(
                         op.encoding, desc.word_width, widths
                     )
                 )
-                built += 1
-            if carry:
-                # NT options were proved identical by the environment
-                # check; adopt the parent's table wholesale.
-                self.option_signatures = dict(parent.option_signatures)
-            else:
-                for nt in desc.nonterminals.values():
-                    for opt in nt.options:
-                        widths = self._value_widths(opt.params)
-                        self.option_signatures[(nt.name, opt.label)] = (
-                            Signature.from_encoding(opt.encoding, nt.width,
-                                                    widths)
-                        )
-            if reuse_from is not None:
-                self.reuse_counts = {"reused": reused, "rebuilt": built}
+            for nt in desc.nonterminals.values():
+                for opt in nt.options:
+                    widths = self._value_widths(opt.params)
+                    self.option_signatures[(nt.name, opt.label)] = (
+                        Signature.from_encoding(opt.encoding, nt.width,
+                                                widths)
+                    )
             obs.add("sigtable.builds")
 
     def _value_widths(self, params) -> Dict[str, int]:
@@ -403,33 +377,3 @@ class SignatureTable:
             word |= self.encode_operation(field_name, op_name, operands)
         return word
 
-
-def decode_preserved(table: SignatureTable, desc: ast.Description,
-                     words: Sequence[int], delta) -> bool:
-    """True when *words* provably decode identically under parent and child.
-
-    *table* is the **child** description's signature table and *delta* the
-    parent→child :class:`~repro.isdl.fingerprint.FingerprintDelta`.  The
-    disassembler requires exactly one constant-signature match per field
-    (ambiguity and illegal words are load-time errors), which makes the
-    proof local: if a word's unique match in the child is a delta-unchanged
-    operation, that operation's signature is byte-identical in the parent,
-    so it matched there too — and since the parent decoded the program
-    without error, its unique match was the same operation with the same
-    operand bits.  Conservative on every other outcome (changed/added
-    unique match, no match, ambiguity): returns False and the caller
-    decodes cold.
-    """
-    if not delta.global_env_unchanged:
-        return False
-    if not (delta.changed_ops or delta.added_ops or delta.removed_ops):
-        return True
-    for word in set(words):
-        for fld in desc.fields:
-            try:
-                op, _ = table.decode(fld, word)
-            except DisassemblyError:
-                return False  # illegal or ambiguous: no proof
-            if not delta.op_unchanged(fld.name, op.name):
-                return False
-    return True

@@ -262,17 +262,13 @@ class Explorer:
 
     def evaluate(self, desc: ast.Description, *,
                  derived_by: str = "initial",
-                 parent: Optional[ast.Description] = None,
                  tech: Optional[TechSpec] = None) -> Candidate:
         """Measure one candidate description.
 
-        *parent* names the description this one was mutated from — a
-        pure optimization hint that lets a cache miss reuse the parent's
-        artifacts (see :func:`repro.explore.metrics.evaluate`).  *tech*
-        measures the candidate in a scaled technology (see
+        *tech* measures the candidate in a scaled technology (see
         :class:`repro.tech.TechSpec`) instead of the pinned baseline.
         """
-        evaluation = self.evaluator.evaluate(desc, parent=parent, tech=tech)
+        evaluation = self.evaluator.evaluate(desc, tech=tech)
         return Candidate(desc, evaluation, derived_by)
 
     def tech_sweep(
@@ -281,7 +277,6 @@ class Explorer:
         specs: Sequence[Optional[TechSpec]],
         *,
         label: Optional[str] = None,
-        parent: Optional[ast.Description] = None,
     ) -> List[Candidate]:
         """Measure one description across a family of technology specs.
 
@@ -298,8 +293,7 @@ class Explorer:
         for spec in specs:
             name = base + (spec.suffix() if spec is not None else "")
             requests.append(EvalRequest(
-                desc, derived_by="tech_sweep", label=name,
-                parent=parent, tech=spec,
+                desc, derived_by="tech_sweep", label=name, tech=spec,
             ))
         candidates: List[Candidate] = []
         for result in self.evaluator.evaluate_many(requests):

@@ -17,7 +17,6 @@ lookup instead of a tool-chain run.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -26,18 +25,12 @@ from ..cache import ArtifactCache, kernel_fingerprint
 from ..codegen import Compiler
 from ..codegen.ir import Kernel
 from ..errors import CodegenError, ReproError
-from ..encoding.signature import SignatureTable, decode_preserved
+from ..encoding.signature import SignatureTable
 from ..gensim.protocol import simulator_for
 from ..gensim.stats import SimulationStats
 from ..hgen import estimate_power
 from ..isdl import ast, fingerprint
-from ..isdl.fingerprint import fingerprint_delta
 from ..tech.model import TechSpec
-
-#: When set (to anything non-empty), every evaluation that reused parent
-#: artifacts is re-run cold and the two results are assert-compared —
-#: the debug net under the incremental tier's equal-to-cold invariant.
-INCREMENTAL_CHECK_ENV = "REPRO_INCREMENTAL_CHECK"
 
 #: The engine a candidate is simulated on unless its caller names
 #: another (see :func:`evaluate`).
@@ -153,7 +146,6 @@ def evaluate(
     cache: Optional[ArtifactCache] = None,
     sim_backend: str = DEFAULT_SIM_BACKEND,
     memoize: bool = True,
-    parent: Optional[ast.Description] = None,
     tech: Optional[TechSpec] = None,
 ) -> Evaluation:
     """Run the full Figure-1 measurement pipeline on one candidate.
@@ -184,16 +176,8 @@ def evaluate(
     re-runs the measurement itself — what the evaluation service's
     no-dedup baseline and simulator-noise studies need.
 
-    *parent* (keyword-only) names the description this candidate was
-    mutated from.  It changes nothing about *what* is computed — cache
-    keys and results are identical with or without it — but on a cache
-    miss the pipeline builds artifacts *incrementally* off the parent's
-    cached ones: signature rows, compiled simulator blocks,
-    hardware sub-structures, assembled programs, and whole simulation
-    results are carried over wherever the fingerprint delta proves the
-    relevant description units byte-identical.  Set the
-    ``REPRO_INCREMENTAL_CHECK`` environment variable to re-run every
-    parent-assisted evaluation cold and assert the results equal.
+    On a cache miss every artifact is built from *desc* itself: each is
+    keyed by the whole fingerprint, never by part of the description.
     """
     label = name or desc.name
     if cache is None:
@@ -206,16 +190,14 @@ def evaluate(
         if not memoize:
             return _evaluate_uncached(desc, kernels, max_steps, label,
                                       weights, cache=cache, fp=fp,
-                                      sim_backend=sim_backend, parent=parent,
-                                      tech=tech)
+                                      sim_backend=sim_backend, tech=tech)
         key = evaluation_key(desc, kernels, max_steps, fp,
                              sim_backend=sim_backend, tech=tech)
         evaluation = cache.evaluation(
             key,
             lambda: _evaluate_uncached(desc, kernels, max_steps, label,
                                        weights, cache=cache, fp=fp,
-                                       sim_backend=sim_backend,
-                                       parent=parent, tech=tech),
+                                       sim_backend=sim_backend, tech=tech),
         )
     # A hit may carry another run's label/weights; normalize without
     # touching the cached instance.
@@ -234,9 +216,7 @@ def _evaluate_uncached(
     sim_backend: str,
     cache: Optional[ArtifactCache] = None,
     fp: Optional[str] = None,
-    parent: Optional[ast.Description] = None,
     tech: Optional[TechSpec] = None,
-    _checked: bool = False,
 ) -> Evaluation:
     fp = fp or (fingerprint(desc) if cache is not None else "")
     # Resolve the technology up front so an unknown node fails loudly
@@ -248,16 +228,12 @@ def _evaluate_uncached(
         "tech_flavor": tech.flavor,
         "budget_mw": tech.budget_mw,
     }
-    if (parent is not None and not _checked
-            and os.environ.get(INCREMENTAL_CHECK_ENV)):
-        return _checked_incremental(desc, kernels, max_steps, label, weights,
-                                    cache, fp, sim_backend, parent, tech)
     # 1. Retarget the compiler; an unfit ISA is a legitimate negative result.
     #    The signature table is a pure function of the description, so one
     #    serves the assembler, every simulator and synthesis — with a
     #    cache, the one the static gate already built.
     try:
-        table = (cache.signature_table(desc, fp, parent=parent)
+        table = (cache.signature_table(desc, fp)
                  if cache is not None else SignatureTable(desc))
         compiler = Compiler(desc, table=table)
         if cache is None:
@@ -272,7 +248,7 @@ def _evaluate_uncached(
                     cache.assembled(
                         desc, kernel,
                         lambda k=kernel: compiler.compile_to_words(k),
-                        fp=fp, parent=parent,
+                        fp=fp,
                     ),
                     kernel_fingerprint(kernel),
                 )
@@ -282,40 +258,15 @@ def _evaluate_uncached(
         return Evaluation(label, feasible=False, reason=str(exc),
                           weights=weights, fingerprint=fp, **tech_fields)
     # 2. Simulate every kernel on the generated ILS.
-    delta = parent_fp = None
-    if cache is not None and parent is not None:
-        delta = fingerprint_delta(parent, desc)
-        parent_fp = cache.description_fingerprint(parent)
     runs: List[SimulationStats] = []
     per_kernel: Dict[str, int] = {}
     for kernel_name, program, kfp in programs:
 
-        def run_kernel(program=program, kfp=kfp) -> SimulationStats:
-            # Sim-result adoption: with the whole simulation environment
-            # (format, tokens, NTs, storages, fields, attributes) proved
-            # unchanged, the identical program decoding to identical
-            # operations must execute identically — adopt the parent's
-            # cached result without running a single instruction.
-            if delta is not None and delta.sim_env_unchanged:
-                parent_stats = cache.peek(
-                    "sim", (parent_fp, kfp, max_steps, sim_backend)
-                )
-                parent_program = cache.peek("program", (parent_fp, kfp))
-                if (
-                    parent_stats is not None
-                    and parent_program is not None
-                    and list(parent_program.words) == list(program.words)
-                    and parent_program.origin == program.origin
-                    and decode_preserved(table, desc, program.words, delta)
-                ):
-                    obs.add("explore.sim_reused")
-                    cache.note_incremental("sim", {"reused": 1})
-                    return parent_stats
+        def run_kernel(program=program) -> SimulationStats:
             if sim_backend == "block":
                 from ..gensim.blocksim import BlockSimulator
 
-                sim = BlockSimulator(desc, table=table, cache=cache,
-                                     parent=parent)
+                sim = BlockSimulator(desc, table=table, cache=cache)
             else:
                 sim = simulator_for(desc, sim_backend, table=table)
             sim.load_words(program.words, program.origin)
@@ -346,8 +297,7 @@ def _evaluate_uncached(
 
         model = synthesize(desc, table=table, tech=tech_model)
     else:
-        model = cache.synthesized(desc, fp, parent=parent, tech=tech_model,
-                                  table=table)
+        model = cache.synthesized(desc, fp, tech=tech_model, table=table)
     with obs.span("hgen.power"):
         power = estimate_power(
             desc, model.netlist, model.clock_mhz, stats=merged_stats,
@@ -381,45 +331,12 @@ def _evaluate_uncached(
     )
 
 
-#: Evaluation fields the equal-to-cold debug check compares (everything
-#: deterministic; synthesis_seconds is wall-clock and excluded).
+#: The deterministic fields of an :class:`Evaluation` (synthesis_seconds
+#: is wall-clock and excluded): what a test compares to show two
+#: measurements of one candidate agree, across backends or code paths.
 _CHECK_FIELDS = (
     "feasible", "reason", "cycles", "stall_cycles", "cycle_ns",
     "die_size", "core_die_size", "power_mw", "verilog_lines",
     "per_kernel_cycles", "tech_node", "tech_flavor", "vdd", "budget_mw",
     "power_capped",
 )
-
-
-def _checked_incremental(
-    desc: ast.Description,
-    kernels: Sequence[Kernel],
-    max_steps: int,
-    label: str,
-    weights: Optional[CostWeights],
-    cache: Optional[ArtifactCache],
-    fp: str,
-    sim_backend: str,
-    parent: ast.Description,
-    tech: Optional[TechSpec] = None,
-) -> Evaluation:
-    """Run incrementally *and* cold, assert-compare, return the incremental.
-
-    The debug net behind ``REPRO_INCREMENTAL_CHECK``: every
-    parent-assisted evaluation is shadowed by a from-scratch one (no
-    cache, no parent) and any metric divergence raises.
-    """
-    incremental = _evaluate_uncached(desc, kernels, max_steps, label,
-                                     weights, cache=cache, fp=fp,
-                                     sim_backend=sim_backend, parent=parent,
-                                     tech=tech, _checked=True)
-    cold = _evaluate_uncached(desc, kernels, max_steps, label, weights,
-                              sim_backend=sim_backend, tech=tech)
-    for name in _CHECK_FIELDS:
-        got, want = getattr(incremental, name), getattr(cold, name)
-        if got != want:
-            raise AssertionError(
-                f"incremental evaluation diverged from cold build on"
-                f" {name!r}: {got!r} != {want!r} (candidate {label!r})"
-            )
-    return incremental

@@ -13,7 +13,7 @@ loop needs:
 * **failure isolation** — a candidate whose evaluation *raises* (as
   opposed to one that is merely infeasible) is captured as an
   :class:`EvalResult` with ``error`` set; it never aborts the sweep;
-* **cache warm-sharing** — the parent-side
+* **cache warm-sharing** — the main process's
   :class:`~repro.cache.ArtifactCache` is consulted before any work is
   dispatched and stores every result, so candidates re-proposed in later
   iterations (or whole re-runs of a sweep) are lookups, whatever pool
@@ -23,14 +23,14 @@ loop needs:
 Both modes measure a candidate through one step
 (:meth:`ParallelEvaluator._measure`): the static validity gate, then the
 tool chain, against one cache, so the evaluation reuses the signature
-table the gate built.  In ``"process"`` mode that step runs in the pool
-workers, each against its own private cache, which therefore also holds
-the gate's ``analysis`` memo.  A batch goes out as one task per worker:
+table the gate built.  Every candidate is built from its own
+description; the only reuse across candidates is that whole-fingerprint
+memo.  In ``"process"`` mode the step runs in the pool workers, each
+against its own private cache, which therefore also holds the gate's
+``analysis`` memo.  A batch goes out as one task per worker:
 ``min(max_workers, len(jobs))`` interleaved chunks, each pickled whole.
-A task carries, per candidate, its description, label, parent and
-technology point; a round's shared parent, and the sub-objects its
-children share with it, cross once per worker, and each worker builds
-the parent's fingerprint tree once per round.
+A task carries, per candidate, its description, label and technology
+point; the sub-objects a round's candidates share cross once per worker.
 
 Modes: ``"process"`` (true parallelism; candidates and results cross
 the boundary by pickling), ``"serial"`` (the seed behaviour; never
@@ -79,11 +79,6 @@ class EvalRequest:
     #: the exploration trajectory this measurement belongs to (set by
     #: multi-trajectory strategies; ignored by the evaluator itself)
     tag: Optional[str] = None
-    #: the description this candidate was mutated from; purely an
-    #: optimization hint — on a cache miss the pipeline reuses the
-    #: parent's cached artifacts wherever the fingerprint delta proves
-    #: them unchanged (results are identical with or without it)
-    parent: Optional[ast.Description] = None
     #: technology/budget axis for this measurement; None inherits the
     #: evaluator's default (usually the pinned baseline process)
     tech: Optional[TechSpec] = None
@@ -105,7 +100,8 @@ class EvalResult:
     error: Optional[str] = None
     cached: bool = False
     #: per-candidate observability profile (None while obs is disabled);
-    #: for pool workers this is the snapshot shipped back to the parent
+    #: for pool workers this is the snapshot shipped back to the main
+    #: process
     obs: Optional[MetricsSnapshot] = None
     #: the static-analysis findings when the validity gate rejected the
     #: candidate before any tool ran (``error`` is set alongside)
@@ -140,14 +136,12 @@ def _pool_init(kernels: Sequence[Kernel], max_steps: int,
 
 def _pool_evaluate(index: int, desc: ast.Description,
                    label: str,
-                   parent: Optional[ast.Description] = None,
                    tech: Optional[TechSpec] = None,
                    ) -> Tuple[int, Optional[Outcome], Optional[str],
                               Optional[MetricsSnapshot]]:
     """Gate and evaluate one candidate in a pool worker (see
     :meth:`ParallelEvaluator._measure`)."""
-    return _WORKER_STATE["evaluator"]._measure(index, desc, label, parent,
-                                               tech)
+    return _WORKER_STATE["evaluator"]._measure(index, desc, label, tech)
 
 
 def _pool_evaluate_chunk(tasks: Sequence[tuple]) -> list:
@@ -207,14 +201,13 @@ class ParallelEvaluator:
 
     def evaluate(self, desc: ast.Description,
                  label: Optional[str] = None,
-                 parent: Optional[ast.Description] = None,
                  tech: Optional[TechSpec] = None) -> Evaluation:
         """Measure a single candidate inline (exceptions propagate)."""
         return evaluate(
             desc, self.kernels, self.max_steps,
             name=label, weights=self.weights, cache=self.cache,
             sim_backend=self.sim_backend, memoize=self.memoize,
-            parent=parent, tech=tech if tech is not None else self.tech,
+            tech=tech if tech is not None else self.tech,
         )
 
     def _tech_for(self, request: EvalRequest) -> Optional[TechSpec]:
@@ -281,7 +274,7 @@ class ParallelEvaluator:
 
     def _cache_probe(self, index: int,
                      request: EvalRequest) -> Optional[EvalResult]:
-        """Warm-path lookup in the parent cache before dispatching."""
+        """Warm-path lookup in the main cache before dispatching."""
         if self.cache is None or not self.memoize:
             return None
         label = request.display_label
@@ -304,7 +297,6 @@ class ParallelEvaluator:
                           obs=cap.snapshot)
 
     def _measure(self, index: int, desc: ast.Description, label: str,
-                 parent: Optional[ast.Description],
                  tech: Optional[TechSpec],
                  ) -> Tuple[int, Optional[Outcome], Optional[str],
                             Optional[MetricsSnapshot]]:
@@ -326,8 +318,7 @@ class ParallelEvaluator:
                 from ..analyze import check_static
 
                 try:
-                    analysis = check_static(desc, cache=self.cache,
-                                            parent=parent)
+                    analysis = check_static(desc, cache=self.cache)
                 except Exception:  # malformed: the evaluation records it
                     analysis = None
                 if analysis is not None and not analysis.ok():
@@ -339,8 +330,7 @@ class ParallelEvaluator:
                              f" {first.code}: {first.message}{extra}")
             if error is None:
                 try:
-                    outcome = self.evaluate(desc, label, parent=parent,
-                                            tech=tech)
+                    outcome = self.evaluate(desc, label, tech=tech)
                 except Exception as exc:  # failure capture is the point
                     error = _format_error(exc)
         return index, outcome, error, cap.snapshot
@@ -358,7 +348,7 @@ class ParallelEvaluator:
     def _evaluate_inline(self, index: int,
                          request: EvalRequest) -> EvalResult:
         return self._result(request, *self._measure(
-            index, request.desc, request.display_label, request.parent,
+            index, request.desc, request.display_label,
             self._tech_for(request)))
 
     def _run_processes(self, jobs, results) -> None:
@@ -375,7 +365,7 @@ class ParallelEvaluator:
             for chunk in (jobs[start::width] for start in range(width)):
                 futures.append(pool.submit(_pool_evaluate_chunk, [
                     (index, request.desc, request.display_label,
-                     request.parent, self._tech_for(request))
+                     self._tech_for(request))
                     for index, request in chunk
                 ]))
         except (BrokenExecutor, OSError, ValueError):
@@ -397,8 +387,8 @@ class ParallelEvaluator:
                 results[index] = self._evaluate_inline(index, request)
                 continue
             outcome, error, snapshot = measured[index]
-            # merged in submission order, so the parent registry is
-            # deterministic
+            # merged in submission order, so the main process's registry
+            # is deterministic
             obs.merge(snapshot)
             if error is None:
                 outcome = self._adopt(request, outcome)
@@ -407,7 +397,7 @@ class ParallelEvaluator:
 
     def _adopt(self, request: EvalRequest,
                evaluation: Evaluation) -> Evaluation:
-        """Store a worker-produced evaluation in the parent cache, so the
+        """Store a worker-produced evaluation in the main cache, so the
         warm path serves it next time regardless of pool mode."""
         if self.cache is None or not self.memoize:
             return evaluation

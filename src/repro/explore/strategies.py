@@ -136,8 +136,7 @@ class Greedy(Strategy):
 
     def propose(self) -> List[EvalRequest]:
         return [
-            EvalRequest(desc, derived_by, tag=self.trajectory.label,
-                        parent=self.incumbent.desc)
+            EvalRequest(desc, derived_by, tag=self.trajectory.label)
             for desc, derived_by in self.context.propose_from(self.incumbent)
         ]
 
@@ -281,12 +280,10 @@ class MultiStart(Strategy):
         if self.seeding:
             desc, derived_by = self.seed
             return [EvalRequest(desc, derived_by,
-                                tag=self.trajectory.label,
-                                parent=self.context.initial.desc)]
+                                tag=self.trajectory.label)]
         assert self.incumbent is not None
         return [
-            EvalRequest(desc, derived_by, tag=self.trajectory.label,
-                        parent=self.incumbent.desc)
+            EvalRequest(desc, derived_by, tag=self.trajectory.label)
             for desc, derived_by in self.context.propose_from(self.incumbent)
         ]
 
@@ -360,8 +357,7 @@ class Population(Strategy):
                 batch_seen.add(print_key)
                 requests.append(
                     EvalRequest(desc, derived_by,
-                                tag=self.trajectory.label,
-                                parent=parent.desc)
+                                tag=self.trajectory.label)
                 )
         return requests
 
@@ -451,8 +447,7 @@ class ParetoFrontier(Strategy):
                 batch_seen.add(print_key)
                 requests.append(
                     EvalRequest(desc, derived_by,
-                                tag=self.trajectory.label,
-                                parent=parent.desc)
+                                tag=self.trajectory.label)
                 )
         return requests
 

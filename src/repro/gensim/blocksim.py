@@ -42,7 +42,6 @@ from .. import obs
 from ..encoding.bits import mask, set_bits
 from ..errors import ReproError, SimulationError
 from ..isdl import ast, rtl
-from ..isdl.fingerprint import fingerprint_delta
 from .cfg import ControlFlowAnalyzer, block_span
 from .compiled import CompiledSimulator, _make_commit
 from .core import INTRINSIC_IMPLS, _BINOPS, BoundNt
@@ -610,8 +609,7 @@ class BlockSimulator(CompiledSimulator):
     """
 
     def __init__(self, desc: ast.Description, table=None, *,
-                 cache=None, monitors: Optional[MonitorSet] = None,
-                 parent: Optional[ast.Description] = None):
+                 cache=None, monitors: Optional[MonitorSet] = None):
         super().__init__(desc, table=table)
         self.cache = cache
         self.monitors = monitors
@@ -621,12 +619,6 @@ class BlockSimulator(CompiledSimulator):
         self._blocks = BlockTable(0)
         #: block-function dispatches per entry offset
         self._dispatches: List[int] = []
-        # Incremental block adoption: when *parent* is a near-identical
-        # description whose block table for the same program is cached,
-        # blocks whose span decodes only to delta-unchanged operations
-        # are adopted instead of recompiled.
-        self._parent = parent
-        self._adopt: Optional[Tuple[BlockTable, object]] = None
 
     # ------------------------------------------------------------------
     # Loading (invalidates the dispatch cache)
@@ -642,18 +634,6 @@ class BlockSimulator(CompiledSimulator):
             )
         else:
             self._blocks = BlockTable(len(words))
-        self._adopt = None
-        if self._parent is not None and self.cache is not None:
-            parent_table = self.cache.peek_block_table(
-                self._parent, words, origin
-            )
-            if parent_table is not None:
-                delta = fingerprint_delta(self._parent, self.desc)
-                # Block code burns in storage widths, PC/halt names, and
-                # per-op costs; the environment part is checked once here,
-                # the per-op part per block at adoption time.
-                if delta.sim_env_unchanged:
-                    self._adopt = (parent_table, delta)
 
     def reset(self) -> None:
         super().reset()
@@ -681,42 +661,10 @@ class BlockSimulator(CompiledSimulator):
             flow = self._flows[offset]
             if flow.writes_imem or flow.unresolved:
                 return deopt
-        adopted = self._adopted_block(start, span)
-        if adopted is not None:
-            obs.add("blocksim.blocks_adopted")
-            return adopted
         try:
             return _BlockCompiler(self).compile(span)
         except (_Unsupported, SimulationError, KeyError):
             return deopt
-
-    def _adopted_block(self, start: int,
-                       span: Sequence[int]) -> Optional[CompiledBlock]:
-        """The parent's compiled block for *span*, when provably identical.
-
-        Sound because the generated source is a pure function of the
-        span's decoded instructions (operands included), the operations'
-        costs/stalls/latencies, and the storage/PC/halt environment: the
-        environment was checked at load time, the decoded instructions
-        reduce to "every operation in the span is delta-unchanged" (an
-        unchanged signature row decodes identically, and the parent's
-        exactly-one-match decode forces the same selection), and the
-        parent's span walk visits the same offsets because each visited
-        flow is derived from an unchanged decoded instruction.
-        """
-        if self._adopt is None:
-            return None
-        parent_table, delta = self._adopt
-        if start >= len(parent_table.blocks):
-            return None
-        block = parent_table.blocks[start]
-        if block is None or block.fn is None or block.n != len(span):
-            return None
-        for offset in span:
-            for dop in self._decoded[offset].operations:
-                if not delta.op_unchanged(dop.field, dop.op_name):
-                    return None
-        return block
 
     # ------------------------------------------------------------------
     # Driver

@@ -17,17 +17,16 @@ adjacent super-nodes and merges never cross a component boundary; running
 the same greedy on each component (vertices relabelled in ascending order,
 which preserves the tie-break order) therefore produces bit-identical
 cliques to the whole-graph scan at a fraction of the O(n^2)-pairs-per-round
-cost.  Components also give incremental synthesis its reuse unit: a
-component's greedy result depends only on its relabelled local structure,
-so :func:`component_key` digests that structure and
-:func:`partition_components` accepts a ``reuse`` mapping of previously
-computed per-component partitions (see :mod:`repro.hgen.synthesize`).
+cost.  A component's greedy result depends only on its relabelled local
+structure, so :func:`component_key` digests that structure and
+:func:`clique_partition` runs the greedy once for all the isomorphic
+components of one graph (SPAM's 31 components have 11 distinct keys).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 # A component's partition, in local (relabelled) vertex indices.
 LocalCliques = Tuple[Tuple[int, ...], ...]
@@ -60,7 +59,7 @@ def component_key(local_adjacency: Sequence[Set[int]]) -> str:
 
     Two components with equal keys are isomorphic *with matching vertex
     order*, so the greedy (whose tie-breaks follow that order) yields the
-    same local cliques — the soundness condition for partition reuse.
+    same local cliques, and one run serves both.
     """
     h = hashlib.sha256()
     h.update(str(len(local_adjacency)).encode())
@@ -134,22 +133,17 @@ def _greedy_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
     return [_bits(members[a]) for a in _bits(alive)]
 
 
-def partition_components(
-    adjacency: Sequence[Set[int]],
-    reuse: Optional[Dict[str, LocalCliques]] = None,
-) -> Tuple[List[List[int]], Dict[str, LocalCliques], int, int]:
-    """Partition per component, reusing prior component results.
+def clique_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
+    """Partition vertices into cliques of the compatibility graph.
 
-    *reuse* maps :func:`component_key` digests to local partitions from an
-    earlier (e.g. the parent candidate's) run.  Returns the global
-    cliques, the key->partition mapping for *this* graph (to hand to
-    children), the number of components whose greedy was skipped via
-    reuse, and the number actually partitioned.  Structurally identical
-    components within one graph reuse each other's result too.
+    *adjacency* is a list of neighbour sets (undirected, no self-loops).
+    Returns a list of cliques, each a sorted list of vertex indices; every
+    vertex appears in exactly one clique (isolated vertices form singleton
+    cliques).  The greedy runs per connected component, once per
+    :func:`component_key`.
     """
     cliques: List[List[int]] = []
-    keys: Dict[str, LocalCliques] = {}
-    reused = fresh = 0
+    partitions: Dict[str, LocalCliques] = {}
     for comp in connected_components(adjacency):
         local_index = {v: i for i, v in enumerate(comp)}
         local_adj = [
@@ -157,31 +151,13 @@ def partition_components(
             for v in comp
         ]
         key = component_key(local_adj)
-        local = keys.get(key)
-        if local is None and reuse:
-            local = reuse.get(key)
-        if local is not None:
-            reused += 1
-        else:
-            local = tuple(
+        local = partitions.get(key)
+        if local is None:
+            local = partitions[key] = tuple(
                 tuple(c) for c in _greedy_partition(local_adj)
             )
-            fresh += 1
-        keys[key] = local
         cliques += [[comp[i] for i in clique] for clique in local]
     cliques.sort(key=lambda clique: clique[0])
-    return cliques, keys, reused, fresh
-
-
-def clique_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
-    """Partition vertices into cliques of the compatibility graph.
-
-    *adjacency* is a list of neighbour sets (undirected, no self-loops).
-    Returns a list of cliques, each a sorted list of vertex indices; every
-    vertex appears in exactly one clique (isolated vertices form singleton
-    cliques).
-    """
-    cliques, _, _, _ = partition_components(adjacency)
     return cliques
 
 

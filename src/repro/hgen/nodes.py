@@ -182,8 +182,7 @@ class NodeExtractor:
         """The nodes owned by one operation (inlined NT options included).
 
         Depends only on the operation's definition plus the widths of the
-        tokens, non-terminals, storages, and aliases it references — the
-        dependency set the incremental path keys reuse on.
+        tokens, non-terminals, storages, and aliases it references.
         """
         owner = (fld.name, op.name)
         env = {p.name: self.param_width(p) for p in op.params}
@@ -340,37 +339,3 @@ def extract_nodes(desc: ast.Description) -> List[HwNode]:
     """Convenience wrapper over :class:`NodeExtractor`."""
     return NodeExtractor(desc).extract()
 
-
-def extract_nodes_incremental(
-    desc: ast.Description,
-    parent_nodes: List[HwNode],
-    delta,
-) -> Tuple[List[HwNode], int, int]:
-    """Extract nodes, carrying over per-operation groups from a parent.
-
-    *delta* is the :class:`repro.isdl.fingerprint.FingerprintDelta` from
-    the parent description to *desc*.  An operation's nodes are reused
-    when its definition digest is unchanged and the width environment
-    (tokens, non-terminals, storages, aliases) is identical — extraction
-    is deterministic, so the reused group equals what a cold extraction
-    would produce.  Returns ``(nodes, ops_reused, ops_rebuilt)``.
-    """
-    env_ok = delta.global_env_unchanged and delta.storage_env_unchanged
-    if not env_ok:
-        return extract_nodes(desc), 0, sum(1 for _ in desc.operations())
-    by_op: Dict[Tuple[str, str], List[HwNode]] = {}
-    for node in parent_nodes:
-        by_op.setdefault(node.node_id.owner[:2], []).append(node)
-    extractor = NodeExtractor(desc)
-    nodes: List[HwNode] = []
-    reused = rebuilt = 0
-    for fld, op in desc.operations():
-        key = (fld.name, op.name)
-        if delta.op_unchanged(*key):
-            # Unchanged op absent from by_op simply owned no nodes.
-            nodes.extend(by_op.get(key, ()))
-            reused += 1
-        else:
-            nodes.extend(extractor.extract_operation(fld, op))
-            rebuilt += 1
-    return nodes, reused, rebuilt

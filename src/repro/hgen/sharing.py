@@ -18,8 +18,7 @@ operate at the same time and perform compatible tasks.  The paper's rules:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from ..isdl import ast
 from .nodes import HwNode
@@ -159,88 +158,3 @@ class SharingAnalysis:
                     row.update(indices)
         return frozenset(row)
 
-
-@dataclass
-class SharingRecord:
-    """What one synthesis run's sharing pass learned, for its children.
-
-    Stored on :class:`repro.hgen.synthesize.HardwareModel`; the next
-    candidate derived from this description copies matrix entries between
-    nodes that also exist here, and reuses per-component clique
-    partitions by structural key (:func:`repro.hgen.cliques.component_key`).
-    """
-
-    nodes: Tuple[HwNode, ...]
-    adjacency: Tuple[FrozenSet[int], ...]
-    partitions: Mapping[str, Tuple[Tuple[int, ...], ...]]
-
-
-def adjacency_incremental(
-    analysis: SharingAnalysis,
-    parent: SharingRecord,
-    constraints_unchanged: bool,
-) -> Tuple[List[Set[int]], int, int]:
-    """Build the adjacency sets, copying entries from a parent's matrix.
-
-    A matrix entry between two nodes is a function of the node pair alone
-    (identity, unit classes, owner tuples) except for the cross-field
-    case, which consults the description's constraints.  So for node
-    pairs present in the parent (``HwNode`` equality — same identity,
-    class, width, statement key), the parent's entry is copied verbatim;
-    cross-field pairs additionally require the constraint section to be
-    unchanged.  Everything else is recomputed.  Returns
-    ``(adjacency, entries_copied, entries_computed)``.
-    """
-    nodes = analysis.nodes
-    n = len(nodes)
-    parent_index: Dict[HwNode, int] = {
-        node: idx for idx, node in enumerate(parent.nodes)
-    }
-    stable = [parent_index.get(node) for node in nodes]
-    padj = parent.adjacency
-    adj: List[Set[int]] = [set() for _ in range(n)]
-    copied = computed = 0
-    if constraints_unchanged:
-        # Remap the parent's rows wholesale, then fill in pairs touching
-        # a fresh node: O(n + edges) instead of O(n^2) compatible() calls.
-        child_of = {pi: i for i, pi in enumerate(stable) if pi is not None}
-        for i, pi in enumerate(stable):
-            if pi is None:
-                continue
-            row = adj[i]
-            for pj in padj[pi]:
-                j = child_of.get(pj)
-                if j is not None:
-                    row.add(j)
-            copied += n - 1
-        fresh = [i for i, pi in enumerate(stable) if pi is None]
-        for i in fresh:
-            row = analysis.row(i)
-            adj[i].update(row)
-            for j in row:
-                adj[j].add(i)
-            computed += n - 1
-        return adj, copied, computed
-    for i in range(n):
-        node_i = nodes[i]
-        pi = stable[i]
-        field_i = node_i.node_id.owner[0]
-        for j in range(i + 1, n):
-            pj = stable[j]
-            if (
-                pi is not None
-                and pj is not None
-                and nodes[j].node_id.owner[0] == field_i
-            ):
-                # Same-field exclusion is pure owner-tuple logic; safe to
-                # copy even under a constraint change.
-                if pj in padj[pi]:
-                    adj[i].add(j)
-                    adj[j].add(i)
-                copied += 1
-            else:
-                if analysis.compatible(node_i, nodes[j]):
-                    adj[i].add(j)
-                    adj[j].add(i)
-                computed += 1
-    return adj, copied, computed

@@ -14,20 +14,19 @@ from __future__ import annotations
 import dataclasses
 import sys
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from .. import obs
 from ..encoding.signature import SignatureTable
 from ..isdl import ast
-from ..isdl.fingerprint import FingerprintDelta
 from ..tech.model import TechModel
 from .area import AreaReport, estimate_area
-from .cliques import partition_components, verify_cliques
+from .cliques import clique_partition, verify_cliques
 from .datapath import build_datapath
 from .netlist import Netlist
-from .nodes import HwNode, NodeId, extract_nodes, extract_nodes_incremental
-from .sharing import SharingAnalysis, SharingRecord, adjacency_incremental
+from .nodes import HwNode, NodeId, extract_nodes
+from .sharing import SharingAnalysis
 from .timing import TimingReport, estimate_timing
 from .verilog import emit_verilog, verilog_line_count
 
@@ -54,10 +53,6 @@ class HardwareModel:
     timing: TimingReport
     synthesis_seconds: float
     shared: bool
-    #: Sharing-pass intermediates kept for incremental child synthesis.
-    sharing_record: Optional[SharingRecord] = None
-    #: Per-unit reuse counts when this model was built incrementally.
-    reuse_counts: Dict[str, int] = field(default_factory=dict)
     #: Technology the metric properties are projected into (None =
     #: the calibrated baseline process, bit-identical to pre-tech runs).
     tech: Optional[TechModel] = None
@@ -140,7 +135,6 @@ def synthesize(
     share: bool = True,
     use_constraints: bool = True,
     table: Optional[SignatureTable] = None,
-    reuse_from: Optional[Tuple[HardwareModel, FingerprintDelta]] = None,
     tech: Optional[TechModel] = None,
 ) -> HardwareModel:
     """Run HGEN on a description.
@@ -157,68 +151,23 @@ def synthesize(
     a scaled technology; synthesis itself is technology independent, so
     the default ``tech=None`` is bit-identical to earlier releases and a
     built model can be re-projected cheaply via :meth:`with_tech`.
-
-    *reuse_from* is ``(parent_model, delta)`` for incremental synthesis
-    off a near-identical parent: per-operation node groups, compatibility
-    matrix entries, and per-component clique partitions are carried over
-    where the delta proves them unchanged.  The parent model must have
-    been built with the same *share*/*use_constraints* flags.  The result
-    is equal to a cold build by construction — every reuse predicate is
-    "the inputs this unit reads are byte-identical" — and the datapath,
-    Verilog line count, and estimates are always re-derived (they are
-    cheap and globally numbered).
     """
     with obs.span("hgen.synthesize", desc=desc.name, share=share):
         start = time.perf_counter()
         table = table or SignatureTable(desc)
-        parent, delta = reuse_from if reuse_from is not None else (None, None)
-        reuse_counts: Dict[str, int] = {}
         with obs.span("hgen.nodes"):
-            if parent is not None:
-                nodes, ops_reused, ops_rebuilt = extract_nodes_incremental(
-                    desc, parent.nodes, delta
-                )
-                reuse_counts["node_ops_reused"] = ops_reused
-                reuse_counts["node_ops_rebuilt"] = ops_rebuilt
-            else:
-                nodes = extract_nodes(desc)
+            nodes = extract_nodes(desc)
         allocation: Optional[Dict[NodeId, int]] = None
         cliques: List[List[int]] = [[i] for i in range(len(nodes))]
-        record: Optional[SharingRecord] = None
         if share:
             with obs.span("hgen.sharing"):
-                parent_record = (
-                    parent.sharing_record if parent is not None else None
-                )
                 with obs.span("hgen.matrix"):
-                    analysis = SharingAnalysis(desc, nodes, use_constraints)
-                    if parent_record is not None:
-                        adjacency, copied, computed = adjacency_incremental(
-                            analysis,
-                            parent_record,
-                            not delta.constraints_changed,
-                        )
-                        reuse_counts["matrix_entries_copied"] = copied
-                        reuse_counts["matrix_entries_computed"] = computed
-                    else:
-                        adjacency = analysis.adjacency()
+                    adjacency = SharingAnalysis(
+                        desc, nodes, use_constraints
+                    ).adjacency()
                 with obs.span("hgen.cliques"):
-                    cliques, partitions, reused_comps, fresh_comps = (
-                        partition_components(
-                            adjacency,
-                            parent_record.partitions
-                            if parent_record else None,
-                        )
-                    )
-                    if parent_record is not None:
-                        reuse_counts["components_reused"] = reused_comps
-                        reuse_counts["components_partitioned"] = fresh_comps
+                    cliques = clique_partition(adjacency)
                     verify_cliques(adjacency, cliques)
-                record = SharingRecord(
-                    nodes=tuple(nodes),
-                    adjacency=tuple(frozenset(row) for row in adjacency),
-                    partitions=partitions,
-                )
             allocation = {}
             for instance, clique in enumerate(cliques):
                 for vertex in clique:
@@ -243,8 +192,6 @@ def synthesize(
         timing=timing,
         synthesis_seconds=elapsed,
         shared=share,
-        sharing_record=record,
-        reuse_counts=reuse_counts,
         tech=tech,
     )
 

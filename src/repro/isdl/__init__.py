@@ -12,7 +12,6 @@ from .fingerprint import (
     fingerprint_delta,
     fingerprint_text,
     fingerprint_tree,
-    unit_fingerprint,
 )
 from .intrinsics import INTRINSICS
 from .loader import load_file, load_string
@@ -30,7 +29,6 @@ __all__ = [
     "fingerprint_delta",
     "fingerprint_text",
     "fingerprint_tree",
-    "unit_fingerprint",
     "description_units",
     "load_file",
     "load_string",

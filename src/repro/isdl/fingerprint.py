@@ -11,14 +11,14 @@ parsed from a file, built by :mod:`repro.arch`, or derived by an
 exploration transform.
 
 Beyond the whole-document digest (the *root*, which remains the identity
-key for cache lookups and serve coalescing), this module computes a fingerprint *tree*: one digest per description unit — each
-token, non-terminal, storage, alias, and operation, plus the format,
+key for cache lookups and serve coalescing), this module computes a
+fingerprint *tree*: one digest per description unit — each token,
+non-terminal, storage, alias, and operation, plus the format,
 constraint, and attribute sections — taken over the canonical printer's
 per-unit fragments.  Two trees diff in one dictionary pass
 (:func:`fingerprint_delta`), naming exactly which units a mutation
-touched; the delta's predicates are what the incremental builders
-(signature-table row carry-over, compiled-block adoption,
-hardware-synthesis sharing reuse) key their reuse decisions on.
+touched: the transform-locality golden pins that for every transform.
+No artifact is rebuilt from a delta; every cache key is the root.
 
 Fingerprints and trees are memoized per AST object: exploration
 transforms are functional (they never mutate a description in place, and
@@ -40,11 +40,11 @@ import hashlib
 import threading
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Tuple, Union
 
 from . import ast
-from .printer import OBJECT_UNIT_KINDS, operation_lines, unit_sources
+from .printer import OBJECT_UNIT_KINDS, unit_sources
 
 
 def fingerprint_text(text: str) -> str:
@@ -75,11 +75,6 @@ class FingerprintTree:
     fields: Tuple[str, ...]
     constraints: str
     attributes: str
-    #: deltas to this tree, keyed by the parent's root (see
-    #: :func:`fingerprint_delta`)
-    _deltas: Dict[str, "FingerprintDelta"] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     @property
     def op_order(self) -> Tuple[Tuple[str, str], ...]:
@@ -243,27 +238,16 @@ def fingerprint(desc: ast.Description) -> str:
     return fingerprint_tree(desc).root
 
 
-def unit_fingerprint(op: ast.Operation) -> str:
-    """Digest of one operation's canonical definition, memoized per object.
-
-    Reads the unit-memo entry trees use, so it matches the entry the
-    operation would have in any tree's ``operations`` mapping: the
-    fragment is position-independent, so the digest identifies the
-    definition's *content* across descriptions.
-    """
-    return _unit_text(op, operation_lines)[1]
-
-
 @dataclass(frozen=True)
 class FingerprintDelta:
     """Which units differ between a parent and a child description.
 
     ``*_changed`` name sets list every unit *touched* — changed in place,
-    added, or removed.  Operations are split three ways because the
-    reuse predicates treat them differently (a removed operation's rows
-    simply vanish; an added one only needs fresh rows).  The predicates
-    are deliberately conservative: they answer "is reuse *provably*
-    sound", never "is reuse probably fine".
+    added, or removed; operations are split three ways.  The predicates
+    name which environments a transform left byte-identical, each
+    conservatively ("provably unchanged", never "probably unchanged").
+    Nothing in the tool chain reads them: they describe a transform's
+    locality, which ``tests/explore/golden_locality.json`` pins.
     """
 
     parent_root: str
@@ -366,22 +350,9 @@ def fingerprint_delta(
     parent: Union[ast.Description, FingerprintTree],
     child: Union[ast.Description, FingerprintTree],
 ) -> FingerprintDelta:
-    """Structural diff between two descriptions' fingerprint trees.
-
-    Memoized on the child's tree by the parent's root, so an incremental
-    evaluation computes its delta once, however many of its stages ask
-    (the gate's signature table, each kernel's program, synthesis, and
-    simulator adoption).
-    """
+    """Structural diff between two descriptions' fingerprint trees."""
     pt = parent if isinstance(parent, FingerprintTree) else fingerprint_tree(parent)
     ct = child if isinstance(child, FingerprintTree) else fingerprint_tree(child)
-    delta = ct._deltas.get(pt.root)
-    if delta is None:
-        delta = ct._deltas[pt.root] = _diff_trees(pt, ct)
-    return delta
-
-
-def _diff_trees(pt: FingerprintTree, ct: FingerprintTree) -> FingerprintDelta:
     pops, cops = pt.operations, ct.operations
     common = pops.keys() & cops.keys()
     changed = frozenset(k for k in common if pops[k] != cops[k])

@@ -21,11 +21,7 @@ from repro.arch import ARCHITECTURES, all_workloads, description_for
 from repro.asm import Assembler
 from repro.cache import ArtifactCache
 from repro.codegen.kernels import resolve_kernels
-from repro.encoding.signature import (
-    Signature,
-    SignatureTable,
-    decode_preserved,
-)
+from repro.encoding.signature import Signature, SignatureTable
 from repro.errors import (
     AmbiguousEncodingError,
     DisassemblyError,
@@ -37,7 +33,7 @@ from repro.gensim.disassembler import (
     DecodedOperation,
     Disassembler,
 )
-from repro.isdl import ast, fingerprint_delta, load_file, load_string
+from repro.isdl import ast, load_file, load_string
 
 ARCHS = sorted(ARCHITECTURES)
 
@@ -154,24 +150,6 @@ class ScanDisassembler:
             else:
                 operands[param.name] = self.ntl(raw, ptype)
         return operands
-
-
-def scan_decode_preserved(desc, words, delta):
-    """decode_preserved's proof, with the scan deciding each match."""
-    if not delta.global_env_unchanged:
-        return False
-    if not (delta.changed_ops or delta.added_ops or delta.removed_ops):
-        return True
-    scan = ScanDisassembler(desc, SignatureTable(desc))
-    for word in set(words):
-        for fld in desc.fields:
-            try:
-                decoded = scan.field(word, fld)
-            except DisassemblyError:
-                return False
-            if not delta.op_unchanged(fld.name, decoded.op_name):
-                return False
-    return True
 
 
 def outcome(decode, word):
@@ -297,36 +275,42 @@ def test_every_word_of_the_ambiguous_description_decodes_as_the_scan_does():
                      AmbiguousEncodingError}
 
 
-# ---------------------------------------------------------------------------
-# decode_preserved along transform deltas
-# ---------------------------------------------------------------------------
-
-
-def deltas(arch):
+def transformed_children(arch):
+    """The machine without each of the first two operations per field
+    that its workloads execute, and with a narrowed register file."""
     desc = description_for(arch)
-    children = []
-    for fld in desc.fields:
-        for op in fld.operations[:2]:
-            children.append(transforms.drop_operation(desc, fld.name, op.name))
+    indexed, _scan = decoders(desc)
+    used = {fld.name: [] for fld in desc.fields}
+    for word in sorted(set(workload_words(arch))):
+        for decoded in indexed.disassemble(word).operations:
+            if decoded.op_name not in used[decoded.field]:
+                used[decoded.field].append(decoded.op_name)
+    children = [
+        transforms.drop_operation(desc, field_name, op_name)
+        for field_name, op_names in used.items()
+        for op_name in op_names[:2]
+    ]
     if arch != "acc8":  # the accumulator machine has no register file
         children.append(transforms.narrow_register_file(desc, 4))
-    return desc, children
+    return children
 
 
 @pytest.mark.parametrize("arch", ARCHS)
-def test_decode_preserved_agrees_with_the_scan(arch):
-    desc, children = deltas(arch)
-    words = workload_words(arch)
-    for child in children:
-        delta = fingerprint_delta(desc, child)
-        table = SignatureTable(child)
-        assert decode_preserved(table, child, words, delta) == (
-            scan_decode_preserved(child, words, delta)
-        )
-        for word in sorted(set(words)):
-            assert decode_preserved(table, child, [word], delta) == (
-                scan_decode_preserved(child, [word], delta)
-            ), (child.name, hex(word))
+def test_transformed_children_decode_as_the_scan_does(arch):
+    # the parent's program words against each child's own index: a word
+    # of a dropped operation now decodes to nothing, or to a neighbour
+    words = sorted(set(workload_words(arch)))
+    parent, _scan = decoders(description_for(arch))
+    for child in transformed_children(arch):
+        indexed, scan = decoders(child)
+        changed = 0
+        for word in words:
+            want = outcome(scan.disassemble, word)
+            assert outcome(indexed.disassemble, word) == want, (
+                child.name, hex(word)
+            )
+            changed += want != outcome(parent.disassemble, word)
+        assert changed, child.name
 
 
 # ---------------------------------------------------------------------------

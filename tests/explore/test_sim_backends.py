@@ -12,6 +12,7 @@ import pytest
 
 from repro.arch import description_for
 from repro.cache import ArtifactCache, kernel_fingerprint
+from repro.codegen import Cond, KernelBuilder, Opcode
 from repro.codegen.kernels import resolve_kernels
 from repro.explore import ParallelEvaluator, evaluate, evaluation_key
 from repro.explore.metrics import _CHECK_FIELDS
@@ -90,3 +91,32 @@ def test_evaluate_stores_its_evaluation_under_the_compiled_engine(kernels):
 def test_parallel_evaluator_defaults_to_the_compiled_engine(kernels):
     assert ParallelEvaluator(kernels).sim_backend == "compiled"
 
+
+
+def sum_kernel(n=6, name="sum"):
+    K = KernelBuilder(name)
+    cnt = K.li(n)
+    acc = K.li(0)
+    K.label("loop")
+    K.binary_into(acc, Opcode.ADD, acc, cnt)
+    K.binary_into(cnt, Opcode.SUB, cnt, 1)
+    K.cbr(Cond.NE, cnt, 0, "loop")
+    K.store(K.li(0), acc)
+    return K.build()
+
+
+def assert_same_evaluation(first, second):
+    for name in _CHECK_FIELDS:
+        assert getattr(first, name) == getattr(second, name), name
+
+
+def test_cached_stats_not_mutated_by_merge():
+    """Merging per-kernel stats must copy — a second evaluation pulling
+    the same cached sim result has to see pristine numbers."""
+    desc = description_for("risc16")
+    kernels = [sum_kernel(), sum_kernel(4, name="sum4")]
+    cache = ArtifactCache()
+    first = evaluate(desc, kernels, cache=cache, memoize=False)
+    second = evaluate(desc, kernels, cache=cache, memoize=False)
+    assert_same_evaluation(first, second)
+    assert first.stats == second.stats

@@ -5,7 +5,9 @@ architecture with a deterministic parameterization, and the resulting
 ``FingerprintDelta`` is profiled: which unit categories changed, and
 exactly which units.  The profiles are pinned in
 ``golden_locality.json`` so a transform that silently starts perturbing
-unrelated units (defeating incremental reuse) fails loudly.
+unrelated units fails loudly.  Locality is what keeps a child's
+fingerprint cheap: its tree renders only the units the transform
+replaced (the unit-text memo of ``repro.isdl.fingerprint``).
 
 Transforms that do not apply to an architecture (e.g. narrowing the
 register file of an accumulator machine) are pinned as

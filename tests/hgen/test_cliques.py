@@ -5,10 +5,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hgen import cliques as cliques_module
 from repro.hgen.cliques import (
     _greedy_partition,
     clique_partition,
-    partition_components,
     verify_cliques,
 )
 
@@ -149,7 +149,7 @@ def test_verify_rejects_missing_vertex():
 
 
 # ----------------------------------------------------------------------
-# Component-wise partitioning (the incremental-synthesis substrate)
+# Component-wise partitioning
 # ----------------------------------------------------------------------
 
 
@@ -161,50 +161,24 @@ def test_component_partition_equals_whole_graph_greedy(graph):
     the component-wise run must agree exactly."""
     n, edges = graph
     adj = adjacency_from_edges(n, edges) if n else []
-    cliques, _keys, _reused, _fresh = partition_components(adj)
-    assert cliques == _greedy_partition(adj)
-    assert cliques == clique_partition(adj)
+    assert clique_partition(adj) == _greedy_partition(adj)
 
 
-@settings(max_examples=60, deadline=None)
-@given(graphs)
-def test_component_reuse_skips_every_greedy_rerun(graph):
-    """Handing a graph its own key map back must reuse every component
-    and reproduce the identical partition — the equal-to-cold invariant
-    at the clique layer."""
-    n, edges = graph
-    adj = adjacency_from_edges(n, edges) if n else []
-    cold, keys, reused0, fresh0 = partition_components(adj)
-    warm, keys2, reused, fresh = partition_components(adj, reuse=keys)
-    assert warm == cold
-    assert keys2 == keys
-    assert fresh == 0
-    assert reused == reused0 + fresh0  # every component adopted
-
-
-def test_isomorphic_components_share_one_greedy_run():
-    # two identical triangles: the second adopts the first's partition
+def test_isomorphic_components_share_one_greedy_run(monkeypatch):
+    # two identical triangles: the second takes the first's partition
     adj = adjacency_from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
     )
-    cliques, keys, reused, fresh = partition_components(adj)
-    assert cliques == [[0, 1, 2], [3, 4, 5]]
-    assert fresh == 1 and reused == 1
-    assert len(keys) == 1
+    runs = []
+    greedy = cliques_module._greedy_partition
 
+    def counting(local_adjacency):
+        runs.append(len(local_adjacency))
+        return greedy(local_adjacency)
 
-def test_reuse_map_from_mutated_parent_only_recomputes_changed_component():
-    parent = adjacency_from_edges(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]
-    )
-    _cliques, keys, _r, _f = partition_components(parent)
-    # close the second component's triangle: only it should re-run
-    child = adjacency_from_edges(
-        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
-    )
-    cliques, _keys, reused, fresh = partition_components(child, reuse=keys)
-    assert cliques == [[0, 1, 2], [3, 4, 5]]
-    assert reused >= 1  # the untouched triangle was adopted
+    monkeypatch.setattr(cliques_module, "_greedy_partition", counting)
+    assert clique_partition(adj) == [[0, 1, 2], [3, 4, 5]]
+    assert runs == [3]
 
 
 # ----------------------------------------------------------------------
@@ -224,21 +198,33 @@ def sized_graphs(draw, max_n=48):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sized_graphs(), st.integers(0, 2**32 - 1))
-def test_bitset_greedy_equals_set_reference(graph, seed):
+@given(sized_graphs())
+def test_bitset_greedy_equals_set_reference(graph):
     n, edges = graph
     adj = adjacency_from_edges(n, edges)
     expected = reference_greedy(adj)
     assert _greedy_partition(adj) == expected
-    cold, keys, _reused, _fresh = partition_components(adj)
-    assert cold == expected
-    # reuse from the graph itself, and from a parent one edge away
-    assert partition_components(adj, reuse=keys)[0] == expected
-    rng = random.Random(seed)
-    parent_edges = set(edges)
-    if n > 1:
-        parent_edges ^= {tuple(sorted(rng.sample(range(n), 2)))}
-    _c, parent_keys, _r, _f = partition_components(
-        adjacency_from_edges(n, parent_edges)
+    assert clique_partition(adj) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sized_graphs(max_n=12), st.integers(2, 4))
+def test_interleaved_copies_share_greedy_runs_and_match_reference(graph,
+                                                                  copies):
+    """Copy *c* of vertex *v* becomes vertex ``v * copies + c``: every
+    copy keeps the original's vertex order, so the copies' components
+    have equal keys and share one greedy run, and each must still get
+    the cliques the whole-graph greedy gives it."""
+    n, edges = graph
+    adj = adjacency_from_edges(n * copies, [
+        (a * copies + c, b * copies + c)
+        for c in range(copies) for a, b in edges
+    ])
+    expected = reference_greedy(adj)
+    assert clique_partition(adj) == expected
+    single = clique_partition(adjacency_from_edges(n, edges))
+    assert expected == sorted(
+        ([v * copies + c for v in clique]
+         for c in range(copies) for clique in single),
+        key=lambda clique: clique[0],
     )
-    assert partition_components(adj, reuse=parent_keys)[0] == expected

@@ -7,12 +7,9 @@ from repro.explore import transforms
 from repro.hgen.nodes import extract_nodes
 from repro.hgen.sharing import (
     SharingAnalysis,
-    SharingRecord,
-    adjacency_incremental,
     classes_compatible,
     merged_class,
 )
-from repro.isdl import fingerprint_delta
 
 
 @pytest.fixture(scope="module")
@@ -109,18 +106,35 @@ def _matrix_rows(matrix):
     return [{j for j, entry in enumerate(row) if entry} for row in matrix]
 
 
+#: SPAM with a constraint added, and SPAM children whose nodes or
+#: constraints differ from its own: a field loses an operation, a whole
+#: field goes with the two constraints naming it, INT loses ``jmp`` and
+#: ``halt`` with the constraint on ``jmp``, and the register file narrows
+SPAM_VARIANTS = {
+    "spam+c": lambda spam: transforms.add_constraint(
+        spam, "FP1", "fadd", "FP2", "fmul"
+    ),
+    "spam-fadd": lambda spam: transforms.drop_operation(spam, "FP1", "fadd"),
+    "spam-mv3": lambda spam: transforms.drop_field(spam, "MV3"),
+    "spam-int-tail": lambda spam: transforms.drop_operations(
+        spam,
+        [("INT", op.name) for op in spam.field_named("INT").operations[-2:]],
+    ),
+    "spam-rf4": lambda spam: transforms.narrow_register_file(spam, 4),
+}
+
+
 def _sharing_description(name):
-    if name == "spam+c":
-        return transforms.add_constraint(
-            description_for("spam"), "FP1", "fadd", "FP2", "fmul"
-        )
+    if name in SPAM_VARIANTS:
+        return SPAM_VARIANTS[name](description_for("spam"))
     return description_for(name)
 
 
 def test_adjacency_matches_matrix():
     # the class-bucketed rows against the per-pair reference, on every
-    # node of every architecture, with and without constraints
-    for name in ("acc8", "risc16", "spam", "spam2", "spam+c"):
+    # node of every architecture and SPAM variant, with and without
+    # constraints
+    for name in ("acc8", "risc16", "spam", "spam2", *SPAM_VARIANTS):
         desc = _sharing_description(name)
         for use_constraints in (True, False):
             nodes = extract_nodes(desc)
@@ -130,58 +144,6 @@ def test_adjacency_matches_matrix():
             assert analysis.adjacency() == expected, (name, use_constraints)
             rows = [analysis.row(i) for i in range(len(nodes))]
             assert rows == expected, (name, use_constraints)
-
-
-def _record(desc, use_constraints):
-    nodes = extract_nodes(desc)
-    matrix = SharingAnalysis(desc, nodes, use_constraints).matrix()
-    return SharingRecord(
-        nodes=tuple(nodes),
-        adjacency=tuple(frozenset(row) for row in _matrix_rows(matrix)),
-        partitions={},
-    )
-
-
-def _drop_fadd(spam):
-    return transforms.drop_operation(spam, "FP1", "fadd")
-
-
-#: (parent, child) descriptions made from SPAM; with fadd restored every
-#: fadd node of the child is fresh and gets a computed row
-INCREMENTAL_PAIRS = {
-    "drop-fadd": (lambda spam: spam, _drop_fadd),
-    "restore-fadd": (_drop_fadd, lambda spam: spam),
-    "drop-mv3": (lambda spam: spam,
-                 lambda spam: transforms.drop_field(spam, "MV3")),
-    "add-constraint": (
-        lambda spam: spam,
-        lambda spam: transforms.add_constraint(
-            spam, "FP1", "fadd", "FP2", "fmul"
-        ),
-    ),
-}
-
-
-@pytest.mark.parametrize("use_constraints", [True, False])
-@pytest.mark.parametrize("pair", sorted(INCREMENTAL_PAIRS))
-def test_incremental_adjacency_matches_matrix(spam_desc, pair,
-                                              use_constraints):
-    make_parent, make_child = INCREMENTAL_PAIRS[pair]
-    parent_desc, desc = make_parent(spam_desc), make_child(spam_desc)
-    constraints_changed = fingerprint_delta(
-        parent_desc, desc
-    ).constraints_changed
-    assert constraints_changed == (pair in ("drop-mv3", "add-constraint"))
-    nodes = extract_nodes(desc)
-    adjacency, copied, computed = adjacency_incremental(
-        SharingAnalysis(desc, nodes, use_constraints),
-        _record(parent_desc, use_constraints),
-        not constraints_changed,
-    )
-    matrix = SharingAnalysis(desc, nodes, use_constraints).matrix()
-    assert adjacency == _matrix_rows(matrix)
-    assert copied > 0
-    assert (computed > 0) == (pair != "drop-fadd")
 
 
 def test_class_compatibility_and_merge():
