@@ -294,21 +294,6 @@ class ArtifactCache:
             model = model.with_tech(tech)
         return model
 
-    def block_table(self, desc, words, origin: int,
-                    builder: Callable[[], Any],
-                    fp: Optional[str] = None):
-        """Memoized :class:`repro.gensim.blocksim.BlockTable`.
-
-        Keyed by (description fingerprint, program words, origin): block
-        functions close over burned constants only, so one lazily filled
-        table serves every simulator measuring the same candidate.
-        Memory layer only — compiled code objects do not pickle.
-        """
-        return self.get_or_build(
-            "blocktable", (fp or fingerprint(desc), tuple(words), origin),
-            builder,
-        )
-
     def evaluation(self, key: Hashable, builder: Callable[[], Any]):
         """Memoized whole-candidate evaluation (see explore.metrics)."""
         return self.get_or_build("evaluation", key, builder)

@@ -263,12 +263,7 @@ def _evaluate_uncached(
     for kernel_name, program, kfp in programs:
 
         def run_kernel(program=program) -> SimulationStats:
-            if sim_backend == "block":
-                from ..gensim.blocksim import BlockSimulator
-
-                sim = BlockSimulator(desc, table=table, cache=cache)
-            else:
-                sim = simulator_for(desc, sim_backend, table=table)
+            sim = simulator_for(desc, sim_backend, table=table)
             sim.load_words(program.words, program.origin)
             return sim.run_to_completion(max_steps)
 

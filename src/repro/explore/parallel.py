@@ -121,12 +121,26 @@ class EvalResult:
 _WORKER_STATE: dict = {}
 
 
+def _worker_cache_entries(n_kernels: int) -> int:
+    """Size of a pool worker's cache: room for two candidates.
+
+    One candidate stores the gate's analysis, its signature table,
+    synthesis and evaluation, and a program and a run per kernel.  Only
+    the same candidate, or another technology point of the same
+    description, reads them back: in a sweep the one hit is the gate's
+    signature table reaching the evaluation, and a technology sweep
+    shares the programs, runs and synthesis of its description.
+    """
+    return 2 * (4 + 2 * n_kernels)
+
+
 def _pool_init(kernels: Sequence[Kernel], max_steps: int,
                weights: Optional[CostWeights], obs_enabled: bool,
                sim_backend: str, memoize: bool,
                static_check: bool) -> None:
+    cache = ArtifactCache(max_entries=_worker_cache_entries(len(kernels)))
     _WORKER_STATE["evaluator"] = ParallelEvaluator(
-        kernels, weights=weights, cache=ArtifactCache(max_entries=128),
+        kernels, weights=weights, cache=cache,
         max_steps=max_steps, mode="serial", sim_backend=sim_backend,
         static_check=static_check, memoize=memoize,
     )

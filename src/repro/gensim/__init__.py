@@ -1,7 +1,5 @@
 """GENSIM — simulator generation (paper section 3)."""
 
-from .blocksim import BlockSimulator, BlockStats
-from .cfg import BasicBlock, ControlFlowAnalyzer, InstructionFlow
 from .compiled import CompiledSimulator
 from .disassembler import DecodedInstruction, DecodedOperation, Disassembler
 from .generator import emit_source, generate_simulator, write_source
@@ -15,12 +13,7 @@ from .trace import CallbackTrace, FileTrace, ListTrace, TraceRecord, open_trace_
 from .xsim import XSim
 
 __all__ = [
-    "BasicBlock",
-    "BlockSimulator",
-    "BlockStats",
     "CompiledSimulator",
-    "ControlFlowAnalyzer",
-    "InstructionFlow",
     "Simulator",
     "simulator_for",
     "RunResult",

@@ -1,24 +1,20 @@
-"""Control-flow analysis over decoded programs (basic-block discovery).
+"""Control-flow facts of decoded instructions, for the dataflow analysis.
 
-The block-compiled simulator (:mod:`repro.gensim.blocksim`) translates
-straight-line instruction runs into single Python functions, so it needs
-to know where control flow can leave the straight line.  ISDL has no
-explicit branch class — any operation may assign the storage designated
-``PROGRAM_COUNTER`` — so the analysis below walks the RTL ASTs of each
-decoded instruction (like :mod:`repro.gensim.hazards` does for stalls)
-and classifies it:
+:mod:`repro.analyze.dataflow` builds each program's basic-block graph
+from these facts, so it needs to know where control flow can leave the
+straight line.  ISDL has no explicit branch class — any operation may
+assign the storage designated ``PROGRAM_COUNTER`` — so the analysis below
+walks the RTL ASTs of each decoded instruction (like
+:mod:`repro.gensim.hazards` does for stalls) and classifies it:
 
 * does any path write the program counter (a *terminator*)?
 * is every such write conditional (an ``if``-guarded branch)?
 * does it write instruction memory (self-modifying code) or the halt flag?
 * which base storages does it touch, and what is its worst write latency?
 
-Block discovery is *dynamic*: a block is keyed by its entry offset and
-extends to the first terminator or the last program word, stepping by each
-instruction's size.  Branching into the middle of a previously discovered
-block simply discovers a new (overlapping) block — no leader analysis is
-required for correctness, only for the static partition that
-:func:`static_blocks` offers to tests and reports.
+:func:`block_span` discovers a block from its entry offset: it extends
+to the first terminator or the last program word, stepping by each
+instruction's size.
 """
 
 from __future__ import annotations
@@ -31,10 +27,8 @@ from .disassembler import DecodedInstruction
 
 __all__ = [
     "InstructionFlow",
-    "BasicBlock",
     "ControlFlowAnalyzer",
     "block_span",
-    "static_blocks",
 ]
 
 #: Safety valve for pathological straight-line programs: a block longer
@@ -75,28 +69,6 @@ class InstructionFlow:
     #: a destination the analysis could not resolve statically; the block
     #: compiler must not include this instruction in a fast block
     unresolved: bool = False
-
-
-@dataclass(frozen=True)
-class BasicBlock:
-    """A straight-line run of instructions, keyed by its entry offset."""
-
-    start: int
-    #: member instruction word offsets, in execution order
-    offsets: Tuple[int, ...]
-    #: the last member may write the PC (False: the block ends because
-    #: the program — or the length cap — does)
-    ends_in_branch: bool
-    #: the block was truncated by the length cap, not by a terminator or
-    #: the end of the program — execution always continues at
-    #: ``fall_through`` (the artificial successor)
-    capped: bool = False
-    #: word offset execution falls into when the last member does not
-    #: branch (None when the next word is unoccupied or past the end)
-    fall_through: Optional[int] = None
-
-    def __len__(self) -> int:
-        return len(self.offsets)
 
 
 class ControlFlowAnalyzer:
@@ -263,44 +235,3 @@ def block_span(
         offset += flow.size
     return tuple(offsets)
 
-
-def static_blocks(
-    flows: Sequence[Optional[InstructionFlow]],
-    max_len: int = MAX_BLOCK_LEN,
-) -> List[BasicBlock]:
-    """Partition a program into fall-through blocks starting at offset 0.
-
-    This is the *static* view (used by tests and reports); the simulator's
-    dispatch cache discovers blocks dynamically and may add overlapping
-    entries for branch targets that land mid-block.
-    """
-    blocks: List[BasicBlock] = []
-    offset = 0
-    n = len(flows)
-    while 0 <= offset < n:
-        span = block_span(flows, offset, max_len)
-        if not span:
-            break
-        last = flows[span[-1]]
-        next_offset = span[-1] + last.size
-        ends_in_branch = bool(last.writes_pc)
-        capped = (
-            not ends_in_branch
-            and not last.unresolved
-            and len(span) == max_len
-            and 0 <= next_offset < n
-            and flows[next_offset] is not None
-        )
-        fall_through = None
-        if (not ends_in_branch or last.conditional_pc) \
-                and not last.unresolved:
-            if 0 <= next_offset < n and flows[next_offset] is not None:
-                fall_through = next_offset
-        blocks.append(BasicBlock(
-            start=offset, offsets=span,
-            ends_in_branch=ends_in_branch,
-            capped=capped,
-            fall_through=fall_through,
-        ))
-        offset = next_offset
-    return blocks

@@ -16,6 +16,10 @@ XSIM's does, so cycle counts, utilization statistics and final state match
 XSIM exactly; ``tests/gensim/test_compiled.py`` asserts it.  Addressed
 storages are bounds-checked on read and on commit with :class:`State`'s
 error.
+
+This is the one fast engine: :func:`~repro.gensim.simulator_for` builds
+it for the backend names ``"compiled"`` and ``"block"``, and every
+measurement runs on it unless its caller names ``"xsim"``.
 """
 
 from __future__ import annotations
@@ -41,13 +45,7 @@ StmtFn = Callable[[dict, dict, list], None]
 
 
 def _make_commit(name: str, width: int, hi, lo, is_array: bool):
-    """Build the commit closure for one resolved write location.
-
-    Shared by the per-instruction closure compiler below and the
-    block compiler's latency-residue slots
-    (:mod:`repro.gensim.blocksim`), so both paths apply writes with
-    identical masking semantics.
-    """
+    """Build the commit closure for one resolved write location."""
     # default-arg binding (not closure cells) is deliberate: locals are
     # one dict lookup cheaper per commit on the hot path
     if hi is None:
@@ -99,7 +97,6 @@ class CompiledSimulator:
         self._halt = desc.attributes.get("halt_flag")
         self._program: List[Optional[Tuple[StmtFn, int, int]]] = []
         self._decoded: List[DecodedInstruction] = []
-        self._prepared: List[PreparedInstruction] = []
         self._stalls: List[int] = []
         self._origin = 0
         #: executions per program address (index = address - origin)
@@ -134,16 +131,13 @@ class CompiledSimulator:
     def stats(self) -> SimulationStats:
         """Statistics so far, derived from the per-address counts."""
         return SimulationStats.from_counts(
-            self.desc, self._decoded, self._address_counts(),
+            self.desc, self._decoded, self._counts,
             cycles=self.cycle, stall_cycles=self.stall_cycles,
         )
 
     @property
     def instructions(self) -> int:
-        return sum(self._address_counts())
-
-    def _address_counts(self) -> List[int]:
-        return self._counts
+        return sum(self._counts)
 
     def reset(self) -> None:
         """Reset cycle counts, pending writes and the PC; state persists.
@@ -167,7 +161,6 @@ class CompiledSimulator:
         decoded = [self.disassembler.disassemble(word) for word in words]
         prepared = [prepare_instruction(self.desc, d) for d in decoded]
         self._decoded = decoded
-        self._prepared = prepared
         self._stalls = self.hazards.stalls_for_program(prepared)
         self._program = [self._compile_instruction(p) for p in prepared]
         self._origin = origin

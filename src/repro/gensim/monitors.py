@@ -53,15 +53,6 @@ class MonitorSet:
         self._monitors.setdefault(storage, []).append(monitor)
         return monitor
 
-    def watched_storages(self) -> List[str]:
-        """Names of storages with at least one attached monitor.
-
-        Backends that trade per-write hooks for speed (the block-compiled
-        simulator) use this set to decide which code must take the slow,
-        monitored path.
-        """
-        return [name for name, lst in self._monitors.items() if lst]
-
     def unwatch(self, monitor: Monitor) -> None:
         watchers = self._monitors.get(monitor.storage, [])
         if monitor in watchers:

@@ -1,20 +1,20 @@
 """The common simulator surface shared by every backend.
 
-:func:`simulator_for` builds three cycle-accurate, bit-true backends:
+:func:`simulator_for` builds the two cycle-accurate, bit-true engines:
 ``xsim`` (:class:`~repro.gensim.xsim.XSim`, the reference processing core
 over instructions bound at load time; ``interpretive`` names the same
-simulator), ``compiled`` (the program-specialized
-:class:`~repro.gensim.compiled.CompiledSimulator`) and ``block`` (the
-basic-block JIT :class:`~repro.gensim.blocksim.BlockSimulator`).  The
-:class:`Simulator` protocol pins down the surface they share: load a
-program, reset, run to completion, examine/set state, read statistics.
-Code written against the protocol runs unchanged on every backend.
+simulator) and ``compiled`` (the program-specialized
+:class:`~repro.gensim.compiled.CompiledSimulator`; ``block`` names the
+same simulator).  The :class:`Simulator` protocol pins down the surface
+they share: load a program, reset, run to completion, examine/set state,
+read statistics.  Code written against the protocol runs unchanged on
+every backend.
 
 ``compiled`` is the engine the measurement pipeline runs by default
 (:func:`repro.explore.evaluate`, the sweep's evaluator and the
 evaluation service): on the short kernels of a sweep it loads as fast
 as ``xsim`` and runs several times faster.  ``xsim`` stays the reference
-that every other backend is tested against, and the only one with
+that the compiled engine is tested against, and the only one with
 breakpoints, execution traces and per-write state monitors.
 """
 
@@ -62,17 +62,14 @@ def simulator_for(desc, backend: str = "xsim", **kwargs) -> "Simulator":
     """Build a simulator for *desc* by backend name.
 
     ``"xsim"`` or its other name ``"interpretive"`` (the reference core),
-    ``"compiled"`` (program-specialized closures) or ``"block"``
-    (basic-block JIT over exec-generated Python).
+    ``"compiled"`` or its other name ``"block"`` (program-specialized
+    closures).
     """
-    from .blocksim import BlockSimulator
     from .compiled import CompiledSimulator
     from .xsim import XSim
 
     if backend in ("xsim", "interpretive"):
         return XSim(desc, **kwargs)
-    if backend == "compiled":
+    if backend in ("compiled", "block"):
         return CompiledSimulator(desc, **kwargs)
-    if backend == "block":
-        return BlockSimulator(desc, **kwargs)
     raise ValueError(f"unknown simulator backend {backend!r}")

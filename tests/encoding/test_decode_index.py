@@ -461,7 +461,7 @@ def obs_on():
 KERNELS = ["sum:10", "blockmove:8"]
 
 
-@pytest.mark.parametrize("backend", ["xsim", "compiled", "block"])
+@pytest.mark.parametrize("backend", ["xsim", "compiled"])
 def test_one_evaluate_builds_one_signature_table(obs_on, backend):
     with obs.capture() as cap:
         evaluation = evaluate(description_for("spam"),

@@ -25,7 +25,7 @@ from repro.hgen import synthesize
 from repro.isdl import ast, fingerprint
 
 ARCHS = sorted(ARCHITECTURES)
-BACKENDS = ("xsim", "compiled", "block")
+BACKENDS = ("xsim", "compiled")
 
 
 @pytest.fixture(scope="module")
@@ -98,15 +98,13 @@ def test_child_after_parent_equals_fresh_cache(mutation, backend, kernels):
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_child_misses_every_artifact_its_parent_built(mutation, kernels):
-    # the block engine adds the one artifact kind the others lack
     parent = description_for("risc16")
     child = MUTATIONS[mutation](parent, kernels)
     cache = ArtifactCache()
-    evaluate(parent, kernels, cache=cache, sim_backend="block")
+    evaluate(parent, kernels, cache=cache)
     parent_misses = dict(cache.stats.misses_by_kind)
     parent_hits = dict(cache.stats.hits_by_kind)
-    evaluate(child, kernels, cache=cache, sim_backend="block")
-    assert "blocktable" in parent_misses
+    evaluate(child, kernels, cache=cache)
     child_misses = {
         kind: count - parent_misses.get(kind, 0)
         for kind, count in cache.stats.misses_by_kind.items()

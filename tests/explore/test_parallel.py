@@ -5,13 +5,17 @@ import pytest
 from repro.arch import description_for
 from repro.cache import ArtifactCache
 from repro.codegen import Cond, KernelBuilder, Opcode
+from repro.codegen.kernels import resolve_kernels
 from repro.explore import (
     CostWeights,
     EvalRequest,
     Explorer,
     ParallelEvaluator,
 )
+from repro.explore import parallel
+from repro.explore.parallel import _worker_cache_entries
 from repro.isdl import fingerprint
+from repro.tech import TechSpec
 
 
 def sum_kernel(n=6):
@@ -232,11 +236,11 @@ def test_auto_mode_runs_serially_where_processes_cannot_start(monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_block_backend_matches_xsim_cycles():
+def assert_cycles_match_xsim(**options):
     kernels = [sum_kernel()]
-    with ParallelEvaluator(kernels, mode="serial") as ref, \
-            ParallelEvaluator(kernels, mode="serial",
-                              sim_backend="block") as fast:
+    with ParallelEvaluator(kernels, mode="serial",
+                           sim_backend="xsim") as ref, \
+            ParallelEvaluator(kernels, mode="serial", **options) as fast:
         want = ref.evaluate_many(requests())
         got = fast.evaluate_many(requests())
     for a, b in zip(got, want):
@@ -246,6 +250,16 @@ def test_block_backend_matches_xsim_cycles():
         assert a.evaluation.per_kernel_cycles == b.evaluation.per_kernel_cycles
 
 
+def test_default_backend_matches_xsim_cycles():
+    assert_cycles_match_xsim()
+
+
+def test_block_backend_matches_xsim_cycles():
+    # a served job naming "block" is measured through a serial evaluator
+    # built with that name, which runs the compiled engine
+    assert_cycles_match_xsim(sim_backend="block")
+
+
 def test_backend_is_part_of_the_evaluation_key():
     cache = ArtifactCache()
     kernels = [sum_kernel()]
@@ -253,8 +267,66 @@ def test_backend_is_part_of_the_evaluation_key():
     with ParallelEvaluator(kernels, cache=cache, mode="serial") as ev:
         ev.evaluate_many([EvalRequest(desc)])
     with ParallelEvaluator(kernels, cache=cache, mode="serial",
-                           sim_backend="block") as ev:
+                           sim_backend="xsim") as ev:
         (result,) = ev.evaluate_many([EvalRequest(desc)])
     # a different backend is a different measurement, not a cache hit
     assert not result.cached
     assert cache.stats.misses_by_kind["evaluation"] == 2
+
+
+# ----------------------------------------------------------------------
+# Pool worker caches
+# ----------------------------------------------------------------------
+
+
+def _greedy(explorer):
+    log = explorer.explore(description_for("spam"), max_iterations=8)
+    assert not log.errors, log.errors
+    return ([c.derived_by for c in log.accepted],
+            fingerprint(log.best.desc), log.evaluations)
+
+
+def _tech(explorer):
+    specs = [None] + [TechSpec(node, flavor) for node in (10, 16, 22, 32)
+                      for flavor in ("HP", "LP")]
+    return [(c.evaluation.cycles, c.evaluation.cycle_ns, c.evaluation.die_size,
+             c.evaluation.power_mw, c.evaluation.cost())
+            for c in explorer.tech_sweep(description_for("spam"), specs)]
+
+
+@pytest.mark.parametrize("sweep", [_greedy, _tech], ids=["greedy", "tech"])
+def test_worker_cache_bound_keeps_every_hit(sweep):
+    # a pool worker measures through a serial evaluator over a cache of
+    # _worker_cache_entries; at that bound a sweep reads back everything
+    # a large cache would, and measures the same
+    kernels = resolve_kernels(["sum:10", "blockmove:8"])
+    outcomes = {}
+    for entries in (_worker_cache_entries(len(kernels)), 512):
+        cache = ArtifactCache(max_entries=entries)
+        evaluator = ParallelEvaluator(kernels, cache=cache, mode="serial")
+        result = sweep(Explorer(kernels, evaluator=evaluator))
+        outcomes[entries] = (result, dict(cache.stats.hits_by_kind))
+    (bounded, hits), (reference, reference_hits) = outcomes.values()
+    assert bounded == reference
+    assert hits == reference_hits
+    if sweep is _greedy:
+        # every measured candidate's evaluation reads its gate's table
+        assert hits == {"sigtable": bounded[2]}
+    else:
+        # the other eight points share the first one's artifacts
+        assert (hits["program"], hits["sim"], hits["synth"]) == (16, 16, 8)
+
+
+def test_pool_worker_cache_is_sized_by_its_kernels(monkeypatch):
+    # _pool_init, run in-process here, is what each pool worker runs
+    monkeypatch.setattr(parallel, "_WORKER_STATE", {})
+    sizes = {}
+    for specs in (["sum:10"], ["sum:10", "blockmove:8"]):
+        kernels = resolve_kernels(specs)
+        parallel._pool_init(kernels, 500_000, None, False, "compiled",
+                            True, True)
+        evaluator = parallel._WORKER_STATE["evaluator"]
+        assert evaluator.mode == "serial"
+        sizes[len(kernels)] = evaluator.cache.max_entries
+    assert sizes == {n: _worker_cache_entries(n) for n in (1, 2)}
+    assert sizes[1] < sizes[2] < 128

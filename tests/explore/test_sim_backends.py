@@ -2,11 +2,14 @@
 
 Every backend derives its statistics from per-address execution counts,
 so ``evaluate`` returns the same cycles, utilization, power and cost on
-``xsim``, ``compiled`` and ``block`` — and the same verdict, with the same
-reason, for a candidate one of them cannot run.  Candidates are measured
+``xsim`` and ``compiled`` — and the same verdict, with the same reason,
+for a candidate one of them cannot run.  Candidates are measured
 on ``compiled`` unless a caller names another engine; ``xsim`` is the
 reference the default is checked against.
 """
+
+import json
+import os
 
 import pytest
 
@@ -19,13 +22,28 @@ from repro.explore.metrics import _CHECK_FIELDS
 from repro.explore.transforms import resize_memory
 from repro.isdl import fingerprint
 
-BACKENDS = ("xsim", "compiled", "block")
+BACKENDS = ("xsim", "compiled")
 KERNELS = ("sum:10", "blockmove:8")
+#: perfbench's ``eval_sim`` kernels (``common.EVAL_KERNELS``), whose
+#: loops run up to a hundred times longer than those of KERNELS
+EVAL_KERNELS = (("spam", "sum:1000"), ("spam", "blockmove:256"),
+                ("spam2", "sum:255"), ("spam2", "blockmove:255"),
+                ("risc16", "sum:1000"), ("risc16", "blockmove:256"))
 
 
 @pytest.fixture(scope="module")
 def kernels():
     return resolve_kernels(list(KERNELS))
+
+
+def measured(evaluation):
+    """What a feasible evaluation reports: power, cost, utilization and
+    every checked field."""
+    assert evaluation.feasible, evaluation.reason
+    return (
+        evaluation.power_mw, evaluation.cost(),
+        evaluation.stats.op_counts, evaluation.stats.field_busy,
+    ) + tuple(getattr(evaluation, name) for name in _CHECK_FIELDS)
 
 
 @pytest.mark.parametrize("arch", ["spam", "spam2", "risc16"])
@@ -36,20 +54,67 @@ def test_evaluation_is_backend_independent(arch, kernels):
     runs["default"] = {"cache": cache}
     seen = {}
     for run, options in runs.items():
-        evaluation = evaluate(desc, kernels, **options)
-        assert evaluation.feasible, evaluation.reason
-        seen[run] = (
-            evaluation.power_mw, evaluation.cost(),
-            evaluation.stats.op_counts, evaluation.stats.field_busy,
-        ) + tuple(getattr(evaluation, name) for name in _CHECK_FIELDS)
+        seen[run] = measured(evaluate(desc, kernels, **options))
     assert seen["xsim"][2], "no operation was counted"
-    for run in ("compiled", "block", "default"):
+    for run in ("compiled", "default"):
         assert seen[run] == seen["xsim"], run
     # every kernel of the default evaluation ran on the compiled engine
     for kernel in kernels:
         key = (fingerprint(desc), kernel_fingerprint(kernel), 500_000,
                "compiled")
         assert cache.peek("sim", key) is not None, kernel.name
+
+
+@pytest.mark.parametrize("arch,spec", EVAL_KERNELS, ids=[
+    f"{arch}-{spec.replace(':', '')}" for arch, spec in EVAL_KERNELS])
+def test_long_kernel_evaluation_is_backend_independent(arch, spec):
+    # the evaluation perfbench's eval_sim times, one kernel at a time
+    desc = description_for(arch)
+    kernels = resolve_kernels([spec])
+    seen = {backend: measured(evaluate(desc, kernels, cache=ArtifactCache(),
+                                       sim_backend=backend))
+            for backend in BACKENDS}
+    assert seen["xsim"][2], "no operation was counted"
+    assert seen["compiled"] == seen["xsim"]
+
+
+EXPECTED = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "perfbench", "expected.json")
+
+
+@pytest.mark.parametrize("arch", ["spam", "spam2", "risc16"])
+def test_eval_sim_evaluation_reports_its_pinned_values(arch):
+    # eval_sim checks each timed evaluation against these values, in a
+    # kernel order its seed picks; both engines and both orders agree
+    with open(EXPECTED, encoding="utf-8") as handle:
+        want = json.load(handle)["eval_sim"][arch]
+    specs = [spec for name, spec in EVAL_KERNELS if name == arch]
+    desc = description_for(arch)
+    for backend in BACKENDS:
+        for order in (specs, specs[::-1]):
+            evaluation = evaluate(desc, resolve_kernels(order),
+                                  cache=ArtifactCache(), sim_backend=backend)
+            got = {name: getattr(evaluation, name) for name in want}
+            assert got == want, (backend, order)
+
+
+def test_block_is_measured_on_the_compiled_engine_under_its_own_keys(
+        kernels):
+    # "block" is a second name of the compiled engine: the same
+    # measurement, memoized under the name the caller gave
+    desc = description_for("risc16")
+    cache = ArtifactCache()
+    block = evaluate(desc, kernels, cache=cache, sim_backend="block")
+    assert measured(block) == measured(evaluate(desc, kernels,
+                                                sim_backend="compiled"))
+    key = evaluation_key(desc, kernels, 500_000, sim_backend="block")
+    assert cache.peek("evaluation", key) is not None
+    for kernel in kernels:
+        key = (fingerprint(desc), kernel_fingerprint(kernel), 500_000,
+               "block")
+        assert cache.peek("sim", key) is not None, kernel.name
+    key = evaluation_key(desc, kernels, 500_000, sim_backend="compiled")
+    assert cache.peek("evaluation", key) is None
 
 
 def test_stats_total_every_kernel(kernels):

@@ -1,17 +1,10 @@
-"""Tests for control-flow analysis and basic-block discovery."""
+"""Tests for control-flow facts and basic-block spans."""
 
 import pytest
 
-from repro.arch import description_for
 from repro.arch.workloads import risc16_sum_loop
 from repro.asm import Assembler
-from repro.gensim.cfg import (
-    MAX_BLOCK_LEN,
-    BasicBlock,
-    ControlFlowAnalyzer,
-    block_span,
-    static_blocks,
-)
+from repro.gensim.cfg import MAX_BLOCK_LEN, ControlFlowAnalyzer, block_span
 from repro.gensim.disassembler import (
     DecodedInstruction,
     DecodedOperation,
@@ -52,6 +45,28 @@ loop:   bne loop - .
     assert halt.writes_halt
     assert not halt.writes_pc
 
+    for flow in flows:
+        assert not flow.writes_imem
+        assert not flow.unresolved
+        assert flow.size == 1
+
+
+def test_spam_flow_classification(spam_desc):
+    # a VLIW line is one flow: its latency is that of its slowest field,
+    # and it branches only if one of its fields writes the PC
+    flows, _, _ = _flows(spam_desc, """
+loop:   ld r4, (r0) | add r0, r0, #1
+        fmul r6, r4, r5 | sub r2, r2, #1
+        bnez r2, loop - .
+        jmp loop
+        halt
+""")
+    load, multiply, bnez, jmp, halt = flows
+    assert not load.writes_pc and load.max_latency == 2
+    assert not multiply.writes_pc and multiply.max_latency == 3
+    assert bnez.writes_pc and bnez.conditional_pc
+    assert jmp.writes_pc and not jmp.conditional_pc
+    assert not halt.writes_pc
     for flow in flows:
         assert not flow.writes_imem
         assert not flow.unresolved
@@ -119,81 +134,6 @@ def test_block_span_respects_length_cap(risc16_desc):
     assert tail[-1] == MAX_BLOCK_LEN + 6  # the halt
 
 
-def test_static_blocks_partition_sum_loop(risc16_desc):
-    workload = risc16_sum_loop(5)
-    flows, _, _ = _flows(risc16_desc, workload.source)
-    blocks = static_blocks(flows)
-    # prologue+loop (ends at bne), epilogue (st; halt — runs off the end)
-    assert [b.start for b in blocks] == [0, 6]
-    assert blocks[0].ends_in_branch
-    assert not blocks[1].ends_in_branch
-    covered = [off for b in blocks for off in b.offsets]
-    assert covered == sorted(set(covered))  # static view never overlaps
-    assert covered == list(range(len(flows)))
-
-
-def test_static_blocks_on_last_program_word(risc16_desc):
-    """A block whose terminator is the final word must not run past the
-    program (regression guard for the dispatch loop's bounds check)."""
-    flows, _, _ = _flows(risc16_desc, "ldi r1, #1\nloop: jmp loop\n")
-    blocks = static_blocks(flows)
-    assert blocks == [
-        BasicBlock(start=0, offsets=(0, 1), ends_in_branch=True)
-    ]
-
-
-def test_basic_block_len(risc16_desc):
-    block = BasicBlock(start=0, offsets=(0, 1, 2), ends_in_branch=False)
-    assert len(block) == 3
-
-
-# ---------------------------------------------------------------------------
-# Cap truncation and fall-through successors
-# ---------------------------------------------------------------------------
-
-
-def test_capped_block_reports_artificial_fall_through(risc16_desc):
-    """A block split by the length cap did not really end: it must carry
-    capped=True and name the tail as its artificial successor."""
-    body = "nop\n" * (MAX_BLOCK_LEN + 6) + "halt\n"
-    flows, _, _ = _flows(risc16_desc, body)
-    blocks = static_blocks(flows)
-    first = blocks[0]
-    assert first.capped
-    assert not first.ends_in_branch
-    assert first.fall_through == MAX_BLOCK_LEN
-    assert blocks[1].start == first.fall_through
-    assert not blocks[1].capped  # the tail ends at the real program end
-
-
-def test_conditional_branch_block_has_fall_through(risc16_desc):
-    flows, _, _ = _flows(risc16_desc, """
-        ldi r0, #3
-loop:   sub r0, r0, #1
-        bne loop - .
-        halt
-""")
-    blocks = {b.start: b for b in static_blocks(flows)}
-    branch = blocks[0]
-    assert branch.ends_in_branch and not branch.capped
-    assert branch.fall_through == 3  # the not-taken successor
-    assert blocks[3].fall_through is None  # halt: program ends
-
-
-def test_unconditional_branch_block_has_no_fall_through(risc16_desc):
-    flows, _, _ = _flows(risc16_desc, "ldi r1, #1\nloop: jmp loop\nhalt\n")
-    blocks = static_blocks(flows)
-    assert blocks[0].ends_in_branch
-    assert blocks[0].fall_through is None  # jmp never falls through
-
-
-def test_fall_through_none_past_program_end(risc16_desc):
-    flows, _, _ = _flows(risc16_desc, "nop\nhalt\n")
-    (block,) = static_blocks(flows)
-    assert not block.capped and not block.ends_in_branch
-    assert block.fall_through is None
-
-
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -210,9 +150,9 @@ def _reversed_operands(operands):
     return out
 
 
-def test_static_blocks_deterministic_under_operand_order(risc16_desc):
-    """Flow facts and the block partition are functions of the decoded
-    program, not of operand-dict insertion order."""
+def test_flows_deterministic_under_operand_order(risc16_desc):
+    """Flow facts are functions of the decoded program, not of
+    operand-dict insertion order."""
     workload = risc16_sum_loop(5)
     flows, analyzer, decoded = _flows(risc16_desc, workload.source)
     shuffled = [
@@ -228,6 +168,5 @@ def test_static_blocks_deterministic_under_operand_order(risc16_desc):
     ]
     reordered = ControlFlowAnalyzer(risc16_desc).flows_for_program(shuffled)
     assert reordered == flows
-    assert static_blocks(reordered) == static_blocks(flows)
     # the per-instruction cache key is order-insensitive too
     assert analyzer.flow(shuffled[0]) is analyzer.flow(decoded[0])

@@ -1,5 +1,9 @@
 """Tests for the unified Simulator protocol and the XSim.run reconciliation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.asm import assemble
@@ -18,6 +22,8 @@ SOURCE = """
     add r3, r1, r2
     halt
 """
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__)))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +53,22 @@ def test_simulator_for_backends(risc16_desc):
     )
     interp = simulator_for(risc16_desc, "interpretive")
     assert isinstance(interp, XSim)
+    assert isinstance(simulator_for(risc16_desc, "block"), CompiledSimulator)
     with pytest.raises(ValueError):
         simulator_for(risc16_desc, "quantum")
+
+
+def test_importing_the_simulators_leaves_control_flow_analysis_unloaded():
+    # only the static analyzer's dataflow reads gensim.cfg: importing the
+    # simulators, or the service that runs them, does not load it
+    env = os.environ.copy()
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, repro.gensim, repro.serve.cli; "
+            "print('repro.gensim.cfg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("backend", ["xsim", "interpretive", "compiled"])

@@ -265,10 +265,10 @@ def test_run_binds_no_operands_after_load(monkeypatch):
 
 
 @pytest.mark.parametrize("arch", ["spam", "acc8"])
-@pytest.mark.parametrize("engine", ["xsim", "compiled", "block"])
+@pytest.mark.parametrize("engine", ["xsim", "compiled"])
 def test_load_binds_each_decoded_operation_once(monkeypatch, engine, arch):
-    # the hazard profile, the executor and the block compiler read one
-    # binding per operation, made at load
+    # the hazard profile and the executor read one binding per
+    # operation, made at load
     from repro.asm import Assembler
     from repro.gensim import core, simulator_for
 

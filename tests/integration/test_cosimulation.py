@@ -116,13 +116,14 @@ def _acc8_with_preinc():
 def test_option_action_runs_once_before_the_operation(op, x_acc):
     # an option's action runs once per execution, before the operation's
     # own action, whether or not the operation reads the operand — on the
-    # reference interpreter exactly as on the engines and the hardware
+    # reference interpreter exactly as on the compiled engine and the
+    # hardware
     from repro.gensim.protocol import simulator_for
 
     desc = _acc8_with_preinc()
     program = Assembler(desc).assemble(f"ldx #3\n{op} +(X)\nhalt\n")
     finals = {}
-    for backend in ("xsim", "compiled", "block"):
+    for backend in ("xsim", "compiled"):
         sim = simulator_for(desc, backend)
         sim.load_words(program.words, program.origin)
         sim.run_to_completion(100)

@@ -17,6 +17,7 @@ from repro.serve import (
     serve_in_thread,
 )
 from repro.serve.cli import main as cli_main
+from repro.serve.service import KNOWN_BACKENDS
 
 from .conftest import instant_eval, payload, stub_evaluation
 
@@ -218,6 +219,26 @@ def test_cli_submit_bad_weights_is_a_usage_error(live):
     with pytest.raises(SystemExit):
         cli_main(["submit", "--url", live.url, "--arch", "spam2",
                   "--weights", "1,2"])
+
+
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+def test_cli_submit_backend_flag_passes_through(live, capsys, backend):
+    # every engine name the service admits is a --backend choice, the
+    # compiled engine's second name "block" included
+    code = cli_main([
+        "submit", "--url", live.url, "--arch", "spam2",
+        "--backend", backend, "--json",
+    ])
+    assert code == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["state"] == "succeeded"
+    assert record["backend"] == backend
+
+
+def test_cli_submit_unknown_backend_is_a_usage_error(live):
+    with pytest.raises(SystemExit):
+        cli_main(["submit", "--url", live.url, "--arch", "spam2",
+                  "--backend", "quantum"])
 
 
 def test_cli_submit_strategy_flag_passes_through(live, capsys):

@@ -169,6 +169,26 @@ def test_live_jobs_replay_with_their_original_ids(tmp_path):
         second.shutdown(drain=False, timeout=2.0)
 
 
+def test_replayed_block_job_gets_the_compiled_engines_result(tmp_path):
+    """A job journaled under "block" replays under that name on the
+    compiled engine, which the name now builds."""
+    first = EvaluationService(service_config(tmp_path, workers=1))
+    first.journal.admit("deadbeef00000001", payload(backend="block"))
+    first.journal.close()
+
+    second = EvaluationService(service_config(tmp_path, workers=1)).start()
+    try:
+        replayed = second.wait("deadbeef00000001", timeout=120.0)
+        fresh = second.submit(payload(backend="compiled"))
+        reference = second.wait(fresh.id, timeout=120.0)
+    finally:
+        second.shutdown(drain=False, timeout=2.0)
+    assert replayed.state.value == reference.state.value == "succeeded"
+    record = replayed.to_dict()
+    assert record["backend"] == "block"
+    assert record["result"] == reference.to_dict()["result"]
+
+
 def test_drained_jobs_are_not_replayed(tmp_path):
     """A graceful drain cancels queued jobs terminally — a restart must
     not resurrect them (only a crash leaves live entries)."""

@@ -15,7 +15,11 @@ from repro.serve import (
     ServiceUnavailableError,
     UnknownJobError,
 )
-from repro.serve.service import CODE_PARSE_ERROR
+from repro.serve.service import (
+    CODE_PARSE_ERROR,
+    DEFAULT_MAX_STEPS,
+    KNOWN_BACKENDS,
+)
 
 from .conftest import instant_eval, payload, stub_evaluation
 
@@ -618,19 +622,42 @@ def test_admitted_warning_only_description_succeeds():
 
 
 def test_job_without_a_backend_runs_on_compiled_like_xsim():
+    # "block" is the compiled engine's second name: a job naming it keeps
+    # its backend in the record and the cache key, and gets the result
     config = ServiceConfig(workers=1, static_check=False)
     with EvaluationService(config) as service:
         default = service.submit(payload(workloads=["sum:8"]))
         reference = service.submit(payload(workloads=["sum:8"],
                                            backend="xsim"))
+        block = service.submit(payload(workloads=["sum:8"],
+                                       backend="block"))
         done = [service.wait(job.id, timeout=120.0)
-                for job in (default, reference)]
+                for job in (default, reference, block)]
     assert all(job.state is JobState.SUCCEEDED for job in done)
     records = [job.to_dict() for job in done]
-    assert records[0]["backend"] == "compiled"
-    assert records[1]["backend"] == "xsim"
-    assert records[0]["result"] == records[1]["result"]
-    assert counter(service, "serve.evaluations_run") == 2
+    assert [r["backend"] for r in records] == ["compiled", "xsim", "block"]
+    assert records[0]["result"] == records[1]["result"] == records[2]["result"]
+    assert counter(service, "serve.evaluations_run") == 3
+
+
+@pytest.mark.parametrize("backend", KNOWN_BACKENDS)
+def test_every_admitted_backend_builds_an_engine_that_agrees(backend):
+    # a name the service admits but gensim cannot build would fail each
+    # such job at run time, after it was accepted
+    from repro.arch import description_for
+    from repro.codegen import Compiler
+    from repro.codegen.kernels import resolve_kernels
+    from repro.gensim import simulator_for
+
+    desc = description_for("spam2")
+    (kernel,) = resolve_kernels(["sum:8"])
+    program = Compiler(desc).compile_to_words(kernel)
+    results = []
+    for name in ("xsim", backend):
+        sim = simulator_for(desc, name)
+        sim.load_words(program.words, program.origin)
+        results.append(sim.run_to_completion(DEFAULT_MAX_STEPS))
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("share_evaluations", [True, False])
