@@ -165,7 +165,8 @@ class _InstrAnalyzer:
         self.pc = self.cfa._pc
         self.pc_mask = mask(desc.storages[self.pc].width)
         self.imem = desc.instruction_memory().name
-        self.halt = self.cfa._halt
+        halt = desc.attributes.get("halt_flag")
+        self.halt = self._alias_base(halt) if halt else None
         self.intrinsics = INTRINSIC_IMPLS
 
     def _alias_base(self, name: str) -> str:

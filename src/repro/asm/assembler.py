@@ -180,6 +180,11 @@ class Assembler:
         self.desc = desc
         self.table = table or SignatureTable(desc)
         self._op_templates: List[Tuple[str, ast.Operation, List[object]]] = []
+        self._nt_templates: Dict[str, List[Tuple[ast.NtOption, List[object]]]] = {}
+        with obs.span("asm.templates"):
+            self._compile_templates(desc)
+
+    def _compile_templates(self, desc: ast.Description) -> None:
         for fld in desc.fields:
             for op in fld.operations:
                 template = op.syntax or ast.default_syntax(op.name, op.params)
@@ -187,7 +192,6 @@ class Assembler:
                     template, op.params, f"{fld.name}.{op.name}"
                 )
                 self._op_templates.append((fld.name, op, items))
-        self._nt_templates: Dict[str, List[Tuple[ast.NtOption, List[object]]]] = {}
         for nt in desc.nonterminals.values():
             entries = []
             for option in nt.options:

@@ -76,7 +76,10 @@ class Compiler:
         already has one; the assembler behind :meth:`compile_to_words`
         then shares it instead of building its own."""
         self.desc = desc
-        self.isa = isa or analyze(desc)
+        if isa is None:
+            with obs.span("codegen.retarget"):
+                isa = analyze(desc)
+        self.isa = isa
         self.table = table
         self._assembler = None
         self._temp_counter = 1 << 20  # temp vregs above user vregs

@@ -4,13 +4,13 @@
 from these facts, so it needs to know where control flow can leave the
 straight line.  ISDL has no explicit branch class — any operation may
 assign the storage designated ``PROGRAM_COUNTER`` — so the analysis below
-walks the RTL ASTs of each decoded instruction (like
+walks the RTL destinations of each decoded instruction (like
 :mod:`repro.gensim.hazards` does for stalls) and classifies it:
 
 * does any path write the program counter (a *terminator*)?
 * is every such write conditional (an ``if``-guarded branch)?
-* does it write instruction memory (self-modifying code) or the halt flag?
-* which base storages does it touch, and what is its worst write latency?
+* does it write instruction memory (self-modifying code)?
+* what is its worst write latency and its size in words?
 
 :func:`block_span` discovers a block from its entry offset: it extends
 to the first terminator or the last program word, stepping by each
@@ -20,7 +20,7 @@ instruction's size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isdl import ast, rtl
 from .disassembler import DecodedInstruction
@@ -58,16 +58,14 @@ class InstructionFlow:
     conditional_pc: bool
     #: writes instruction memory — self-modifying code
     writes_imem: bool
-    #: writes the halt flag (directly or through an alias)
-    writes_halt: bool
-    #: base storages read or written (aliases resolved)
-    storages: FrozenSet[str]
     #: worst-case write latency of the instruction's operations
     max_latency: int
     #: instruction size in words (PC advance)
     size: int
-    #: a destination the analysis could not resolve statically; the block
-    #: compiler must not include this instruction in a fast block
+    #: a destination the analysis could not resolve statically (a write
+    #: through a non-terminal parameter whose bound option is not a plain
+    #: storage location); it may reach the program counter, so the
+    #: instruction ends its block
     unresolved: bool = False
 
 
@@ -78,8 +76,6 @@ class ControlFlowAnalyzer:
         self.desc = desc
         self._pc = self._alias_base(desc.program_counter().name)
         self._imem = desc.instruction_memory().name
-        halt = desc.attributes.get("halt_flag")
-        self._halt = self._alias_base(halt) if halt else None
         self._cache: Dict[Tuple, InstructionFlow] = {}
 
     # ------------------------------------------------------------------
@@ -115,8 +111,6 @@ class ControlFlowAnalyzer:
             writes_pc=scan.writes_pc,
             conditional_pc=scan.writes_pc and scan.all_pc_guarded,
             writes_imem=scan.writes_imem,
-            writes_halt=scan.writes_halt,
-            storages=frozenset(scan.storages),
             max_latency=latency,
             size=size,
             unresolved=scan.unresolved,
@@ -150,10 +144,8 @@ class ControlFlowAnalyzer:
     def _scan_stmts(self, stmts, bindings, scan, guarded: bool) -> None:
         for stmt in stmts:
             if isinstance(stmt, rtl.Assign):
-                self._scan_reads(stmt.expr, scan)
                 self._scan_dest(stmt.dest, bindings, scan, guarded)
             elif isinstance(stmt, rtl.If):
-                self._scan_reads(stmt.cond, scan)
                 self._scan_stmts(stmt.then, bindings, scan, guarded=True)
                 self._scan_stmts(stmt.orelse, bindings, scan, guarded=True)
 
@@ -167,23 +159,13 @@ class ControlFlowAnalyzer:
                 scan.unresolved = True
                 return
             dest = target
-        if dest.index is not None:
-            self._scan_reads(dest.index, scan)
         base = self._alias_base(dest.storage)
-        scan.storages.add(base)
         if base == self._pc:
             scan.writes_pc = True
             if not guarded:
                 scan.all_pc_guarded = False
         if base == self._imem:
             scan.writes_imem = True
-        if self._halt is not None and base == self._halt:
-            scan.writes_halt = True
-
-    def _scan_reads(self, expr, scan) -> None:
-        for node in rtl.walk_exprs(expr):
-            if isinstance(node, rtl.StorageRead):
-                scan.storages.add(self._alias_base(node.storage))
 
     def _alias_base(self, name: str) -> str:
         alias = self.desc.aliases.get(name)
@@ -193,15 +175,12 @@ class ControlFlowAnalyzer:
 class _FlowScan:
     """Mutable accumulator for one instruction's scan."""
 
-    __slots__ = ("writes_pc", "all_pc_guarded", "writes_imem",
-                 "writes_halt", "storages", "unresolved")
+    __slots__ = ("writes_pc", "all_pc_guarded", "writes_imem", "unresolved")
 
     def __init__(self):
         self.writes_pc = False
         self.all_pc_guarded = True
         self.writes_imem = False
-        self.writes_halt = False
-        self.storages = set()
         self.unresolved = False
 
 

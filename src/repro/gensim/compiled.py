@@ -441,16 +441,6 @@ class CompiledSimulator:
     def run(self, max_steps: int = 5_000_000) -> RunResult:
         instructions_before = self.instructions
         cycles_before = self.cycle
-        with obs.span("sim.run", backend="compiled", desc=self.desc.name):
-            result = self._run_loop(max_steps)
-        if obs.enabled():
-            obs.add("sim.runs")
-            obs.add("sim.cycles", self.cycle - cycles_before)
-            obs.add("sim.instructions",
-                    self.instructions - instructions_before)
-        return result
-
-    def _run_loop(self, max_steps: int) -> RunResult:
         scalars, arrays = self.scalars, self.arrays
         pending = self._pending
         origin = self._origin
@@ -461,60 +451,64 @@ class CompiledSimulator:
         counts = self._counts
         steps = 0
         sink: List = []
-        while True:
-            # commit due writes
-            while pending and pending[0][0] <= self.cycle:
-                _, _, _, commit, index, value = heapq.heappop(pending)
-                commit(scalars, arrays, index, value)
-            if halt is not None and scalars.get(halt, 0):
-                break
-            if steps >= max_steps:
-                # like the interpretive scheduler: finish the in-flight
-                # writes, then report the step-budget failure
-                while pending:
-                    _, _, _, commit, index, value = heapq.heappop(pending)
-                    commit(scalars, arrays, index, value)
-                raise SimulationError(
-                    f"program did not halt within {max_steps} steps"
-                )
-            address = scalars[pc_name]
-            offset = address - origin
-            if not 0 <= offset < len(program):
-                raise SimulationError(
-                    f"PC 0x{address:x} outside the loaded program"
-                )
-            stall = stalls[offset]
-            if stall:
-                self.cycle += stall
-                self.stall_cycles += stall
+        with obs.span("sim.run", backend="compiled", desc=self.desc.name):
+            while True:
+                # commit due writes
                 while pending and pending[0][0] <= self.cycle:
                     _, _, _, commit, index, value = heapq.heappop(pending)
                     commit(scalars, arrays, index, value)
-            entry = program[offset]
-            execute, cycles, size = entry
-            del sink[:]
-            execute(scalars, arrays, sink)
-            retire = self.cycle + cycles
-            # Sink order is action writes then side-effect writes, so the
-            # sequence number alone reproduces the ILS commit order.
-            for delay, phase, commit, index, value in sink:
-                self._seq += 1
-                heapq.heappush(
-                    pending,
-                    (retire + delay, self._seq, phase, commit, index, value),
+                if halt is not None and scalars.get(halt, 0):
+                    break
+                if steps >= max_steps:
+                    # like the interpretive scheduler: finish the in-flight
+                    # writes, then report the step-budget failure
+                    while pending:
+                        _, _, _, commit, index, value = heapq.heappop(pending)
+                        commit(scalars, arrays, index, value)
+                    raise SimulationError(
+                        f"program did not halt within {max_steps} steps"
+                    )
+                address = scalars[pc_name]
+                offset = address - origin
+                if not 0 <= offset < len(program):
+                    raise SimulationError(
+                        f"PC 0x{address:x} outside the loaded program"
+                    )
+                stall = stalls[offset]
+                if stall:
+                    self.cycle += stall
+                    self.stall_cycles += stall
+                    while pending and pending[0][0] <= self.cycle:
+                        _, _, _, commit, index, value = heapq.heappop(pending)
+                        commit(scalars, arrays, index, value)
+                entry = program[offset]
+                execute, cycles, size = entry
+                del sink[:]
+                execute(scalars, arrays, sink)
+                retire = self.cycle + cycles
+                # Sink order is action writes then side-effect writes, so the
+                # sequence number alone reproduces the ILS commit order.
+                for delay, phase, commit, index, value in sink:
+                    self._seq += 1
+                    heapq.heappush(
+                        pending,
+                        (retire + delay, self._seq, phase, commit, index,
+                         value),
+                    )
+                self.cycle = retire
+                counts[offset] += 1
+                scalars[pc_name] = (address + size) & mask(
+                    self._widths[pc_name]
                 )
-            self.cycle = retire
-            counts[offset] += 1
-            scalars[pc_name] = (address + size) & mask(
-                self._widths[pc_name]
-            )
-            steps += 1
-        else:
-            raise SimulationError(
-                f"program did not halt within {max_steps} steps"
-            )
-        # drain
-        while pending:
-            _, _, _, commit, index, value = heapq.heappop(pending)
-            commit(scalars, arrays, index, value)
-        return RunResult.from_stats(self.stats, "halted")
+                steps += 1
+            # drain
+            while pending:
+                _, _, _, commit, index, value = heapq.heappop(pending)
+                commit(scalars, arrays, index, value)
+            result = RunResult.from_stats(self.stats, "halted")
+        if obs.enabled():
+            obs.add("sim.runs")
+            obs.add("sim.cycles", self.cycle - cycles_before)
+            obs.add("sim.instructions",
+                    self.instructions - instructions_before)
+        return result

@@ -14,7 +14,7 @@ from typing import Dict
 
 from ..isdl import ast
 from . import techlib
-from .netlist import Concat, Const, Decode, Netlist, PriorityMux, RegRead, Sext, Unit
+from .netlist import Decode, Netlist, PriorityMux
 
 
 @dataclass
@@ -115,6 +115,8 @@ def _storage(desc: ast.Description, netlist: Netlist,
 
 
 def _decode_and_steering(netlist: Netlist, report: AreaReport) -> None:
+    # the other cell kinds are wiring (Concat, Const, Sext) or charged
+    # elsewhere (Unit, RegRead)
     for cell in netlist.cells:
         if isinstance(cell, Decode):
             inverters = sum(1 for _, value in cell.literals if value == 0)
@@ -127,8 +129,6 @@ def _decode_and_steering(netlist: Netlist, report: AreaReport) -> None:
             report.steering += (
                 len(cell.cases) * techlib.SHARING_MUX_AREA_PER_BIT * width
             )
-        elif isinstance(cell, (Concat, Const, Sext)):
-            pass  # wiring
     # Write-port data/index steering: merged write sites share one port
     # through (sites - 1) muxes.
     for storage_ports in netlist.write_port_instances().values():
@@ -155,14 +155,14 @@ def _pipeline_registers(desc: ast.Description, netlist: Netlist,
             report.pipeline_registers += (
                 write.delay * width * techlib.REGISTER_AREA_PER_BIT
             )
-    seen_instances = set()
-    for cell in netlist.cells:
-        if isinstance(cell, Unit) and cell.stages > 1:
-            if cell.instance_id in seen_instances:
-                continue
-            seen_instances.add(cell.instance_id)
-            report.pipeline_registers += (
-                (cell.stages - 1)
-                * cell.width
-                * techlib.REGISTER_AREA_PER_BIT
-            )
+    # one register per instance, sized by its first multi-stage site (the
+    # terms are whole numbers, so their order cannot change the sum)
+    for sites in netlist.unit_instances().values():
+        for site in sites:
+            if site.stages > 1:
+                report.pipeline_registers += (
+                    (site.stages - 1)
+                    * site.width
+                    * techlib.REGISTER_AREA_PER_BIT
+                )
+                break

@@ -11,64 +11,45 @@ common neighbours until no edge remains.  Each resulting clique becomes one
 functional-unit instance; by construction every clique is maximal within the
 remaining graph when it is closed.
 
+A graph is given as its rows: one int bitset per vertex, bit *w* of row *v*
+set iff *v* and *w* are adjacent (undirected, no self-loops), as
+:meth:`repro.hgen.sharing.SharingAnalysis.adjacency` builds them.
+
 The greedy runs per connected component.  A merge requires each side's
 members to be common neighbours of the other, so candidate pairs are always
 adjacent super-nodes and merges never cross a component boundary; running
 the same greedy on each component (vertices relabelled in ascending order,
 which preserves the tie-break order) therefore produces bit-identical
 cliques to the whole-graph scan at a fraction of the O(n^2)-pairs-per-round
-cost.  A component's greedy result depends only on its relabelled local
-structure, so :func:`component_key` digests that structure and
-:func:`clique_partition` runs the greedy once for all the isomorphic
-components of one graph (SPAM's 31 components have 11 distinct keys).
+cost.  A component's greedy result depends only on its relabelled rows, so
+:func:`clique_partition` runs the greedy once for all the components of one
+graph whose relabelled rows are equal (SPAM's 31 components have 11
+distinct ones).
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 # A component's partition, in local (relabelled) vertex indices.
 LocalCliques = Tuple[Tuple[int, ...], ...]
 
 
-def connected_components(adjacency: Sequence[Set[int]]) -> List[List[int]]:
+def connected_components(rows: Sequence[int]) -> List[List[int]]:
     """Connected components as sorted vertex lists, ordered by first vertex."""
-    n = len(adjacency)
-    seen = [False] * n
     components: List[List[int]] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        components.append(sorted(comp))
+    unseen = (1 << len(rows)) - 1
+    while unseen:
+        component = frontier = unseen & -unseen
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= rows[v]
+            frontier = reach & ~component
+            component |= frontier
+        unseen &= ~component
+        components.append(_bits(component))
     return components
-
-
-def component_key(local_adjacency: Sequence[Set[int]]) -> str:
-    """Digest of a component's relabelled structure.
-
-    Two components with equal keys are isomorphic *with matching vertex
-    order*, so the greedy (whose tie-breaks follow that order) yields the
-    same local cliques, and one run serves both.
-    """
-    h = hashlib.sha256()
-    h.update(str(len(local_adjacency)).encode())
-    for i, neigh in enumerate(local_adjacency):
-        h.update(b"|")
-        h.update(str(i).encode())
-        h.update(b":")
-        h.update(",".join(map(str, sorted(neigh))).encode())
-    return h.hexdigest()
 
 
 def _bits(mask: int) -> List[int]:
@@ -81,7 +62,7 @@ def _bits(mask: int) -> List[int]:
     return bits
 
 
-def _greedy_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
+def _greedy_partition(rows: Sequence[int]) -> List[List[int]]:
     """Tseng–Siewiorek greedy on one (typically connected) graph.
 
     Each round merges the first pair ``(a, b)``, ``a < b``, in ascending
@@ -91,11 +72,11 @@ def _greedy_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
     alive bits of ``common[a]`` above ``a`` visits the valid pairs in the
     same order as scanning every alive pair.
     """
-    n = len(adjacency)
+    n = len(rows)
     # Super-node state: members and the vertices adjacent to *all*
     # members (candidates for joining the clique).
     members = [1 << i for i in range(n)]
-    common = [sum(1 << w for w in neigh) for neigh in adjacency]
+    common = list(rows)
     alive = (1 << n) - 1
 
     while True:
@@ -133,48 +114,62 @@ def _greedy_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
     return [_bits(members[a]) for a in _bits(alive)]
 
 
-def clique_partition(adjacency: Sequence[Set[int]]) -> List[List[int]]:
+def clique_partition(rows: Sequence[int]) -> List[List[int]]:
     """Partition vertices into cliques of the compatibility graph.
 
-    *adjacency* is a list of neighbour sets (undirected, no self-loops).
-    Returns a list of cliques, each a sorted list of vertex indices; every
-    vertex appears in exactly one clique (isolated vertices form singleton
-    cliques).  The greedy runs per connected component, once per
-    :func:`component_key`.
+    *rows* holds one neighbour bitset per vertex.  Returns a list of
+    cliques, each a sorted list of vertex indices; every vertex appears in
+    exactly one clique (isolated vertices form singleton cliques).  The
+    greedy runs per connected component, once per distinct relabelled
+    component.
     """
     cliques: List[List[int]] = []
-    partitions: Dict[str, LocalCliques] = {}
-    for comp in connected_components(adjacency):
-        local_index = {v: i for i, v in enumerate(comp)}
-        local_adj = [
-            {local_index[w] for w in adjacency[v] if w in local_index}
-            for v in comp
-        ]
-        key = component_key(local_adj)
+    partitions: Dict[Tuple[int, ...], LocalCliques] = {}
+    for comp in connected_components(rows):
+        if len(comp) == 1:
+            cliques.append(comp)  # an isolated vertex is its own clique
+            continue
+        local_bit = {v: 1 << i for i, v in enumerate(comp)}
+        local_rows = []
+        for v in comp:
+            row = rows[v]
+            local = 0
+            while row:
+                low = row & -row
+                row ^= low
+                local |= local_bit[low.bit_length() - 1]
+            local_rows.append(local)
+        key = tuple(local_rows)
         local = partitions.get(key)
         if local is None:
             local = partitions[key] = tuple(
-                tuple(c) for c in _greedy_partition(local_adj)
+                tuple(c) for c in _greedy_partition(local_rows)
             )
         cliques += [[comp[i] for i in clique] for clique in local]
     cliques.sort(key=lambda clique: clique[0])
     return cliques
 
 
-def verify_cliques(adjacency: Sequence[Set[int]],
+def verify_cliques(rows: Sequence[int],
                    cliques: Sequence[Sequence[int]]) -> None:
     """Assert the partition is a set of valid, disjoint, covering cliques."""
-    seen: Set[int] = set()
+    seen = 0
     for clique in cliques:
-        for i, a in enumerate(clique):
-            if a in seen:
+        members = 0
+        for a in clique:
+            bit = 1 << a
+            if seen & bit:
                 raise AssertionError(f"vertex {a} in two cliques")
-            seen.add(a)
-            for b in clique[i + 1 :]:
-                if b not in adjacency[a]:
-                    raise AssertionError(
-                        f"vertices {a} and {b} share a clique but are not"
-                        " compatible"
-                    )
-    if seen != set(range(len(adjacency))):
+            seen |= bit
+            members |= bit
+        if len(clique) < 2:
+            continue
+        for a in clique:
+            if members & ~(1 << a) & ~rows[a]:
+                b = next(b for b in clique if b != a and not rows[a] >> b & 1)
+                raise AssertionError(
+                    f"vertices {min(a, b)} and {max(a, b)} share a clique but"
+                    " are not compatible"
+                )
+    if seen != (1 << len(rows)) - 1:
         raise AssertionError("clique partition does not cover all vertices")

@@ -27,7 +27,8 @@ from ..encoding.signature import Signature, SignatureTable
 from ..errors import SynthesisError
 from ..isdl import ast, rtl
 from ..isdl.intrinsics import INTRINSICS
-from .nodes import NodeExtractor, NodeId
+from .decode import decode_line
+from .nodes import _BINOP_CLASS, NodeExtractor, NodeId
 from .netlist import (
     Concat,
     Const,
@@ -69,6 +70,11 @@ class _Ctx:
     widths: Dict[str, int]
     delay: int  # latency - 1 for writes issued here
     stages: int = 1  # inferred datapath pipeline depth (Cycle + Stall)
+    #: ``str(NodeId(owner, path))`` up to the path: ``"<owner>:"``
+    key_prefix: str = field(init=False)
+
+    def __post_init__(self):
+        self.key_prefix = ".".join(map(str, self.owner)) + ":"
 
 
 class DatapathBuilder:
@@ -79,11 +85,18 @@ class DatapathBuilder:
         desc: ast.Description,
         table: Optional[SignatureTable] = None,
         allocation: Optional[Dict[NodeId, int]] = None,
+        extractor: Optional[NodeExtractor] = None,
     ):
+        """*extractor* is the one that found the nodes of *allocation*,
+        when the caller has it: its parameter widths are then shared."""
         self.desc = desc
         self.table = table or SignatureTable(desc)
-        self.allocation = allocation or {}
-        self.extractor = NodeExtractor(desc)
+        # the allocation keyed by (owner, path), as the builder walks it
+        self._instances: Dict[Tuple[Tuple, Tuple], int] = {
+            (node_id.owner, node_id.path): instance
+            for node_id, instance in (allocation or {}).items()
+        }
+        self.extractor = extractor or NodeExtractor(desc)
         self.netlist = Netlist(desc.name)
         self._fresh_instance = _FRESH_BASE
         self._fresh_port: Dict[str, int] = {}
@@ -214,8 +227,6 @@ class DatapathBuilder:
     def _operation_context(self, fld: ast.Field, op: ast.Operation,
                            word_net: Net) -> _Ctx:
         signature = self.table.operation(fld.name, op.name)
-        from .decode import decode_line
-
         line = decode_line(f"{fld.name}.{op.name}", signature)
         enable = self.netlist.new_net(1, f"dec_{fld.name}_{op.name}")
         self.netlist.add(Decode(enable, word_net, line.literals))
@@ -274,8 +285,6 @@ class DatapathBuilder:
                           nt: ast.NonTerminal, raw: Net) -> _NtBinding:
         binding = _NtBinding(nt, raw, None, {}, {})
         value_cases: List[Tuple[Net, Net]] = []
-        from .decode import decode_line
-
         for option in nt.options:
             signature = self.table.option(nt.name, option.label)
             line = decode_line(f"{nt.name}.{option.label}", signature)
@@ -458,9 +467,9 @@ class DatapathBuilder:
             # Write-port allocation: the extractor created a write_port node
             # at stmt_path + ('wport',) for addressed destinations.
             stmt_rel = tuple(node_key[len(ctx.owner):])
-            wnode = NodeId(ctx.owner, stmt_rel + ("wport",))
-            port_id = self.allocation.get(
-                wnode, self._fresh_port_id(storage_name)
+            port_id = self._instances.get(
+                (ctx.owner, stmt_rel + ("wport",)),
+                self._fresh_port_id(storage_name),
             )
         self.netlist.add_write(
             Write(
@@ -511,8 +520,7 @@ class DatapathBuilder:
 
     def _unit_site(self, ctx, path, unit_class, op, args, width,
                    const_args=None) -> Net:
-        node_id = NodeId(ctx.owner, path)
-        instance = self.allocation.get(node_id)
+        instance = self._instances.get((ctx.owner, path))
         if instance is None:
             instance = self._fresh()
         out = self.netlist.new_net(width, f"u_{op if op.isalnum() else unit_class}")
@@ -526,7 +534,7 @@ class DatapathBuilder:
                 const_args=const_args or (None,) * len(args),
                 enable=ctx.enable,
                 instance_id=instance,
-                node_key=str(node_id),
+                node_key=ctx.key_prefix + "/".join(map(str, path)),
                 stages=ctx.stages,
             )
         )
@@ -534,8 +542,6 @@ class DatapathBuilder:
 
     def _compile_expr(self, ctx: _Ctx, path: Tuple, expr: rtl.Expr,
                       nt_collector) -> Net:
-        from .nodes import _BINOP_CLASS  # canonical operator classes
-
         if isinstance(expr, rtl.IntLit):
             return self._const(
                 expr.value, max(expr.value.bit_length(), 1)
@@ -601,9 +607,9 @@ class DatapathBuilder:
                 )
             elif fixed_index is not None:
                 index_net = self._const(fixed_index, 16)
-            rnode = NodeId(ctx.owner, path + ("rport",))
-            port_id = self.allocation.get(
-                rnode, self._fresh_port_id(storage_name)
+            port_id = self._instances.get(
+                (ctx.owner, path + ("rport",)),
+                self._fresh_port_id(storage_name),
             )
         width = hi - lo + 1 if hi is not None else storage.width
         out = self.netlist.new_net(width, f"r_{storage_name}")
@@ -636,6 +642,7 @@ class DatapathBuilder:
 
 def build_datapath(desc: ast.Description,
                    table: Optional[SignatureTable] = None,
-                   allocation: Optional[Dict[NodeId, int]] = None) -> Netlist:
+                   allocation: Optional[Dict[NodeId, int]] = None,
+                   extractor: Optional[NodeExtractor] = None) -> Netlist:
     """Convenience wrapper over :class:`DatapathBuilder`."""
-    return DatapathBuilder(desc, table, allocation).build()
+    return DatapathBuilder(desc, table, allocation, extractor).build()

@@ -6,6 +6,11 @@ implement the same function."  A decode line for an operation is the AND of
 the constant literals of its signature — an efficient two-level
 implementation; parameter encodings reverse into plain wiring (handled by
 ``Concat`` cells in the datapath).
+
+The literals come from the same view of the signature the disassembler
+matches with: its ``constant_mask`` and ``constant_value``, derived once
+when the signature is built.  A line costs one step per constant bit, not
+one per word bit.
 """
 
 from __future__ import annotations
@@ -45,11 +50,17 @@ class DecodeLine:
 
 
 def decode_line(name: str, signature: Signature) -> DecodeLine:
-    """Derive the decode line from an operation/option signature."""
+    """Derive the decode line from an operation/option signature.
+
+    One literal per constant bit, in ascending bit order.
+    """
+    mask = signature.constant_mask
+    value = signature.constant_value
     literals = []
-    for position, symbol in enumerate(signature.symbols):
-        if symbol in (0, 1):
-            literals.append((position, symbol))
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        literals.append((low.bit_length() - 1, 1 if value & low else 0))
     return DecodeLine(name, tuple(literals))
 
 

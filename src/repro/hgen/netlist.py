@@ -180,6 +180,11 @@ class Netlist:
         self.writes: List[Write] = []
         self.nets: List[Net] = []
         self._net_names: Dict[str, int] = {}
+        # kept up to date by add / add_write: unit sites by physical
+        # instance, and storage -> {port_id: merged sites} per port kind
+        self._instances: Dict[int, List[Unit]] = {}
+        self._read_ports: Dict[str, Dict[int, int]] = {}
+        self._write_ports: Dict[str, Dict[int, int]] = {}
         # filled by the datapath builder:
         self.word_net: Optional[Net] = None
         self.size_net: Optional[Net] = None
@@ -198,10 +203,25 @@ class Netlist:
 
     def add(self, cell: Cell) -> Net:
         self.cells.append(cell)
+        if isinstance(cell, Unit):
+            sites = self._instances.get(cell.instance_id)
+            if sites is None:
+                self._instances[cell.instance_id] = [cell]
+            else:
+                sites.append(cell)
+        elif isinstance(cell, RegRead):
+            ports = self._read_ports.get(cell.storage)
+            if ports is None:
+                ports = self._read_ports[cell.storage] = {}
+            ports[cell.port_id] = ports.get(cell.port_id, 0) + 1
         return cell.out
 
     def add_write(self, write: Write) -> None:
         self.writes.append(write)
+        ports = self._write_ports.get(write.storage)
+        if ports is None:
+            ports = self._write_ports[write.storage] = {}
+        ports[write.port_id] = ports.get(write.port_id, 0) + 1
 
     # ------------------------------------------------------------------
 
@@ -221,30 +241,21 @@ class Netlist:
         histogram["Write"] = len(self.writes)
         return histogram
 
+    # The three views below are the netlist's own indexes, kept as cells
+    # are added; callers read them and must not modify them.
+
     def unit_instances(self) -> Dict[int, List["Unit"]]:
-        """Group unit sites by physical instance (sharing allocation)."""
-        instances: Dict[int, List[Unit]] = {}
-        for cell in self.cells:
-            if isinstance(cell, Unit):
-                instances.setdefault(cell.instance_id, []).append(cell)
-        return instances
+        """Unit sites grouped by physical instance (sharing allocation),
+        instances in order of their first site."""
+        return self._instances
 
     def read_port_instances(self) -> Dict[str, Dict[int, int]]:
         """storage → {port_id: number of merged read sites}."""
-        ports: Dict[str, Dict[int, int]] = {}
-        for cell in self.cells:
-            if isinstance(cell, RegRead):
-                per = ports.setdefault(cell.storage, {})
-                per[cell.port_id] = per.get(cell.port_id, 0) + 1
-        return ports
+        return self._read_ports
 
     def write_port_instances(self) -> Dict[str, Dict[int, int]]:
         """storage → {port_id: number of merged write sites}."""
-        ports: Dict[str, Dict[int, int]] = {}
-        for write in self.writes:
-            per = ports.setdefault(write.storage, {})
-            per[write.port_id] = per.get(write.port_id, 0) + 1
-        return ports
+        return self._write_ports
 
 
 @dataclass

@@ -18,7 +18,7 @@ map onto the executable netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..isdl import ast, rtl
 from ..isdl.intrinsics import INTRINSICS
@@ -80,6 +80,8 @@ class NodeExtractor:
 
     def __init__(self, desc: ast.Description):
         self.desc = desc
+        # parameter type name -> value width, filled on first use
+        self._param_widths: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Width inference
@@ -100,7 +102,15 @@ class NodeExtractor:
         return self.desc.storages[name].width
 
     def param_width(self, param: ast.Param) -> int:
-        ptype = self.desc.param_type(param)
+        """The width of the value *param* carries (one walk per type)."""
+        width = self._param_widths.get(param.type_name)
+        if width is None:
+            width = self._param_widths[param.type_name] = self._type_width(
+                self.desc.param_type(param)
+            )
+        return width
+
+    def _type_width(self, ptype) -> int:
         if isinstance(ptype, ast.TokenDef):
             return ptype.value_width
         # An NT's *value* width is the width its options' actions produce.
@@ -186,7 +196,8 @@ class NodeExtractor:
         """
         owner = (fld.name, op.name)
         env = {p.name: self.param_width(p) for p in op.params}
-        nodes: List[HwNode] = list(self._from_blocks(owner, op, env))
+        nodes: List[HwNode] = []
+        self._from_blocks(owner, op, env, nodes)
         for param in op.params:
             ptype = self.desc.param_type(param)
             if isinstance(ptype, ast.NonTerminal):
@@ -197,84 +208,81 @@ class NodeExtractor:
                         for p in option.params
                     }
                     sub_env["$$"] = self.param_width(param)
-                    nodes.extend(
-                        self._from_blocks(sub_owner, option, sub_env)
-                    )
+                    self._from_blocks(sub_owner, option, sub_env, nodes)
         return nodes
 
-    def _from_blocks(self, owner, item, env) -> Iterator[HwNode]:
-        yield from self._walk_stmts(
-            owner, ("action",), item.action, env
-        )
-        yield from self._walk_stmts(
-            owner, ("side_effect",), item.side_effect, env
-        )
+    # The walkers below append each node they find to *out*, in the order
+    # of the paths they visit.
 
-    def _walk_stmts(self, owner, path, stmts, env) -> Iterator[HwNode]:
+    def _from_blocks(self, owner, item, env, out) -> None:
+        self._walk_stmts(owner, ("action",), item.action, env, out)
+        self._walk_stmts(owner, ("side_effect",), item.side_effect, env, out)
+
+    def _walk_stmts(self, owner, path, stmts, env, out) -> None:
         for i, stmt in enumerate(stmts):
             stmt_path = path + (i,)
             stmt_key = owner + stmt_path
             if isinstance(stmt, rtl.Assign):
-                yield from self._walk_expr(
-                    owner, stmt_path + ("rhs",), stmt.expr, env, stmt_key
+                self._walk_expr(
+                    owner, stmt_path + ("rhs",), stmt.expr, env, stmt_key,
+                    out,
                 )
-                yield from self._dest_nodes(
-                    owner, stmt_path, stmt, env, stmt_key
-                )
+                self._dest_nodes(owner, stmt_path, stmt, env, stmt_key, out)
             elif isinstance(stmt, rtl.If):
-                yield from self._walk_expr(
-                    owner, stmt_path + ("cond",), stmt.cond, env, stmt_key
+                self._walk_expr(
+                    owner, stmt_path + ("cond",), stmt.cond, env, stmt_key,
+                    out,
                 )
-                yield from self._walk_stmts(
-                    owner, stmt_path + ("then",), stmt.then, env
+                self._walk_stmts(
+                    owner, stmt_path + ("then",), stmt.then, env, out
                 )
-                yield from self._walk_stmts(
-                    owner, stmt_path + ("else",), stmt.orelse, env
+                self._walk_stmts(
+                    owner, stmt_path + ("else",), stmt.orelse, env, out
                 )
 
-    def _dest_nodes(self, owner, stmt_path, stmt, env, stmt_key):
+    def _dest_nodes(self, owner, stmt_path, stmt, env, stmt_key, out):
         dest = stmt.dest
         if isinstance(dest, rtl.StorageLV):
             storage = self.desc.storage_or_alias(dest.storage)
             if storage.addressed:
-                yield HwNode(
+                out.append(HwNode(
                     NodeId(owner, stmt_path + ("wport",)),
                     f"write_port:{storage.name}",
                     storage.width,
                     stmt_key,
-                )
+                ))
                 if dest.index is not None:
-                    yield from self._walk_expr(
+                    self._walk_expr(
                         owner, stmt_path + ("index",), dest.index, env,
-                        stmt_key,
+                        stmt_key, out,
                     )
             if self._is_move(stmt.expr):
                 # A plain move routes through a data bus (paper §4.1.1:
                 # "a move operation that is implemented using a bus").
-                yield HwNode(
+                out.append(HwNode(
                     NodeId(owner, stmt_path + ("bus",)),
                     "bus",
                     self.location_width(dest.storage, dest.hi, dest.lo),
                     stmt_key,
-                )
+                ))
         elif isinstance(dest, rtl.ParamLV):
             # Writing through a transparent NT: each option contributes its
             # own write port / bus inside its sub-owner; the op-level node
             # is the routing bus that feeds the NT.
-            yield HwNode(
+            out.append(HwNode(
                 NodeId(owner, stmt_path + ("bus",)),
                 "bus",
                 env.get(dest.name, 1),
                 stmt_key,
-            )
+            ))
 
     @staticmethod
     def _is_move(expr: rtl.Expr) -> bool:
         return isinstance(expr, (rtl.StorageRead, rtl.ParamRef, rtl.IntLit))
 
-    def _walk_expr(self, owner, path, expr, env, stmt_key) -> Iterator[HwNode]:
+    def _walk_expr(self, owner, path, expr, env, stmt_key, out) -> None:
         if isinstance(expr, rtl.BinOp):
-            yield HwNode(
+            out.append(HwNode(
                 NodeId(owner, path),
                 _BINOP_CLASS[expr.op],
                 self.expr_width(expr, env)
@@ -284,54 +292,60 @@ class NodeExtractor:
                     self.expr_width(expr.right, env),
                 ),
                 stmt_key,
+            ))
+            self._walk_expr(owner, path + (0,), expr.left, env, stmt_key, out)
+            self._walk_expr(
+                owner, path + (1,), expr.right, env, stmt_key, out
             )
-            yield from self._walk_expr(owner, path + (0,), expr.left, env, stmt_key)
-            yield from self._walk_expr(owner, path + (1,), expr.right, env, stmt_key)
         elif isinstance(expr, rtl.UnOp):
             if expr.op in ("-",):
-                yield HwNode(
+                out.append(HwNode(
                     NodeId(owner, path),
                     _UNOP_CLASS[expr.op],
                     self.expr_width(expr, env),
                     stmt_key,
-                )
-            yield from self._walk_expr(owner, path + (0,), expr.operand, env, stmt_key)
+                ))
+            self._walk_expr(
+                owner, path + (0,), expr.operand, env, stmt_key, out
+            )
         elif isinstance(expr, rtl.Cond):
-            yield HwNode(
+            out.append(HwNode(
                 NodeId(owner, path),
                 "mux",
                 self.expr_width(expr, env),
                 stmt_key,
+            ))
+            self._walk_expr(owner, path + (0,), expr.cond, env, stmt_key, out)
+            self._walk_expr(owner, path + (1,), expr.then, env, stmt_key, out)
+            self._walk_expr(
+                owner, path + (2,), expr.other, env, stmt_key, out
             )
-            yield from self._walk_expr(owner, path + (0,), expr.cond, env, stmt_key)
-            yield from self._walk_expr(owner, path + (1,), expr.then, env, stmt_key)
-            yield from self._walk_expr(owner, path + (2,), expr.other, env, stmt_key)
         elif isinstance(expr, rtl.Call):
             meta = INTRINSICS[expr.func]
             if meta.unit_class != "wire":
-                yield HwNode(
+                out.append(HwNode(
                     NodeId(owner, path),
                     meta.unit_class,
                     self._call_width(expr, env),
                     stmt_key,
                     is_macro=meta.is_macro,
-                )
+                ))
             for i, arg in enumerate(expr.args):
-                yield from self._walk_expr(owner, path + (i,), arg, env, stmt_key)
+                self._walk_expr(owner, path + (i,), arg, env, stmt_key, out)
         elif isinstance(expr, rtl.StorageRead):
             storage_name = expr.storage
             if storage_name in self.desc.storages:
                 storage = self.desc.storages[storage_name]
                 if storage.addressed:
-                    yield HwNode(
+                    out.append(HwNode(
                         NodeId(owner, path + ("rport",)),
                         f"read_port:{storage.name}",
                         storage.width,
                         stmt_key,
-                    )
+                    ))
             if expr.index is not None:
-                yield from self._walk_expr(
-                    owner, path + ("index",), expr.index, env, stmt_key
+                self._walk_expr(
+                    owner, path + ("index",), expr.index, env, stmt_key, out
                 )
 
 

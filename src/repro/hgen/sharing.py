@@ -14,11 +14,23 @@ operate at the same time and perform compatible tasks.  The paper's rules:
 4. nodes in different fields operate in parallel and cannot share — unless
    the constraints prove the two operations never co-occur, in which case
    more sharing becomes available.
+
+:meth:`SharingAnalysis.adjacency` builds the rows of ``A`` as int bitsets
+(bit *j* of row *i* is ``A[i][j]``) from masks of the nodes of each unit
+class, operation, field, non-terminal parameter and option: rule 2 is one
+mask per class, rules 1 and 3 are mask arithmetic, and rule 4 is decided
+once per pair of operations in different fields.  That decision evaluates
+only the constraints naming one of the two fields: every other constraint
+sees neither field selected, so it takes its value on the empty selection
+once for all pairs (a ``require`` on a third field is false there, which
+makes every such pair exclusive).  :meth:`SharingAnalysis.compatible` and
+:meth:`SharingAnalysis.matrix` keep the per-pair definition the rows are
+tested against.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from ..isdl import ast
 from .nodes import HwNode
@@ -60,13 +72,6 @@ class SharingAnalysis:
         self.nodes = list(nodes)
         self.use_constraints = use_constraints
         self._exclusion_cache: Dict[Tuple, bool] = {}
-        # node indices by unit class, then by owner (rule 2's buckets)
-        self._groups: Dict[str, Dict[Tuple, List[int]]] = {}
-        for index, node in enumerate(self.nodes):
-            self._groups.setdefault(node.unit_class, {}).setdefault(
-                node.node_id.owner, []
-            ).append(index)
-        self._rows: Dict[Tuple[str, Tuple], FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------
     # Mutual exclusion of owners (rules 1, 3, 4)
@@ -129,32 +134,85 @@ class SharingAnalysis:
                     result[i][j] = result[j][i] = 1
         return result
 
-    def adjacency(self) -> List[Set[int]]:
-        """Adjacency sets of the compatibility graph (for the clique pass)."""
-        return [set(self.row(i)) for i in range(len(self.nodes))]
+    def adjacency(self) -> List[int]:
+        """The rows of :meth:`matrix` as int bitsets, one per node.
 
-    def row(self, index: int) -> FrozenSet[int]:
-        """Row *index* of :meth:`matrix`, as a set of node indices.
-
-        Computed per group instead of per pair: an entry depends only on
-        the two nodes' unit classes and owners (two nodes with one owner
-        are never exclusive, which also covers a node and itself), so
-        every node of one ``(class, owner)`` group has the same row.
+        A node's row is the nodes never active with it (its field's other
+        operations, the other options of its own non-terminal parameter,
+        and the operations the constraints exclude) masked by the nodes
+        of the unit classes it may share with.
         """
-        node = self.nodes[index]
-        key = (node.unit_class, node.node_id.owner)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = self._group_row(*key)
-        return row
+        by_class: Dict[str, int] = {}
+        by_op: Dict[Tuple, int] = {}  # (field, op)
+        by_field: Dict[str, int] = {}
+        by_param: Dict[Tuple, int] = {}  # (field, op, param)
+        by_option: Dict[Tuple, int] = {}  # (field, op, param, option)
+        for index, node in enumerate(self.nodes):
+            bit = 1 << index
+            owner = node.node_id.owner
+            by_class[node.unit_class] = by_class.get(node.unit_class, 0) | bit
+            op = owner[:2]
+            by_op[op] = by_op.get(op, 0) | bit
+            by_field[op[0]] = by_field.get(op[0], 0) | bit
+            if len(owner) == 4:
+                param = owner[:3]
+                by_param[param] = by_param.get(param, 0) | bit
+                by_option[owner] = by_option.get(owner, 0) | bit
+        # rule 2: the nodes of every class each class may share with
+        shares_with = dict(by_class)
+        for sub, sup in SUBSET_CLASSES:
+            if sub in by_class and sup in by_class:
+                shares_with[sub] |= by_class[sup]
+                shares_with[sup] |= by_class[sub]
+        # rules 1 and 3: an operation excludes its field's other operations
+        exclusive = {
+            op: by_field[op[0]] & ~nodes for op, nodes in by_op.items()
+        }
+        if self.use_constraints:
+            for op_a, op_b in self._exclusive_operations(by_op):
+                exclusive[op_a] |= by_op[op_b]
+                exclusive[op_b] |= by_op[op_a]
+        rows = []
+        for node in self.nodes:
+            owner = node.node_id.owner
+            others = exclusive[owner[:2]]
+            if len(owner) == 4:
+                # rule 3's non-terminal clause: the parameter's other options
+                others |= by_param[owner[:3]] & ~by_option[owner]
+            rows.append(others & shares_with[node.unit_class])
+        return rows
 
-    def _group_row(self, unit_class: str, owner: Tuple) -> FrozenSet[int]:
-        row: Set[int] = set()
-        for other_class, owners in self._groups.items():
-            if not classes_compatible(unit_class, other_class):
-                continue  # rule 2
-            for other_owner, indices in owners.items():
-                if self.owners_exclusive(owner, other_owner):
-                    row.update(indices)
-        return frozenset(row)
-
+    def _exclusive_operations(
+        self, operations: Iterable[Tuple]
+    ) -> Iterator[Tuple[Tuple, Tuple]]:
+        """Pairs of operations in different fields that no valid
+        instruction selects together (rule 4), each pair once."""
+        by_field: Dict[str, List[str]] = {}
+        for fld, op in operations:
+            by_field.setdefault(fld, []).append(op)
+        constraints = []
+        for constraint in self.desc.constraints:
+            named = {ref.field for ref in ast.oprefs_in(constraint.expr)}
+            empty = ast.evaluate_constraint(constraint.expr, {})
+            constraints.append((constraint.expr, named, empty))
+        fields = list(by_field)
+        for i, field_a in enumerate(fields):
+            for field_b in fields[i + 1:]:
+                relevant = []
+                always = False
+                for expr, named, empty in constraints:
+                    if field_a in named or field_b in named:
+                        relevant.append(expr)
+                    elif not empty:
+                        always = True  # false whatever the two fields pick
+                        break
+                if not always and not relevant:
+                    continue
+                for op_a in by_field[field_a]:
+                    for op_b in by_field[field_b]:
+                        selected = {field_a: op_a, field_b: op_b}
+                        if always or not all(
+                            ast.evaluate_constraint(expr, selected)
+                            for expr in relevant
+                        ):
+                            yield (field_a, op_a), (field_b, op_b)

@@ -25,7 +25,7 @@ from .area import AreaReport, estimate_area
 from .cliques import clique_partition, verify_cliques
 from .datapath import build_datapath
 from .netlist import Netlist
-from .nodes import HwNode, NodeId, extract_nodes
+from .nodes import HwNode, NodeExtractor, NodeId
 from .sharing import SharingAnalysis
 from .timing import TimingReport, estimate_timing
 from .verilog import emit_verilog, verilog_line_count
@@ -155,8 +155,9 @@ def synthesize(
     with obs.span("hgen.synthesize", desc=desc.name, share=share):
         start = time.perf_counter()
         table = table or SignatureTable(desc)
+        extractor = NodeExtractor(desc)
         with obs.span("hgen.nodes"):
-            nodes = extract_nodes(desc)
+            nodes = extractor.extract()
         allocation: Optional[Dict[NodeId, int]] = None
         cliques: List[List[int]] = [[i] for i in range(len(nodes))]
         if share:
@@ -173,7 +174,7 @@ def synthesize(
                 for vertex in clique:
                     allocation[nodes[vertex].node_id] = instance
         with obs.span("hgen.datapath"):
-            netlist = build_datapath(desc, table, allocation)
+            netlist = build_datapath(desc, table, allocation, extractor)
         with obs.span("hgen.verilog"):
             verilog_lines = verilog_line_count(desc, netlist)
         with obs.span("hgen.estimate"):

@@ -46,20 +46,20 @@ def estimate_timing(desc: ast.Description, netlist: Netlist) -> TimingReport:
 
     worst = 0.0
     worst_net = ""
-
-    def set_arrival(net, time: float) -> None:
-        nonlocal worst, worst_net
-        arrival[net.uid] = time
+    for cell in netlist.cells:
+        out = cell.out
+        if out is None:
+            continue
+        base = 0.0  # the latest input arrival
+        for net in cell.inputs():
+            time = arrival.get(net.uid, 0.0)
+            if time > base:
+                base = time
+        time = base + _cell_delay(desc, cell, instance_sites)
+        arrival[out.uid] = time
         if time > worst:
             worst = time
-            worst_net = net.name
-
-    for cell in netlist.cells:
-        if cell.out is None:
-            continue
-        inputs = [arrival.get(net.uid, 0.0) for net in cell.inputs()]
-        base = max(inputs, default=0.0)
-        set_arrival(cell.out, base + _cell_delay(desc, cell, instance_sites))
+            worst_net = out.name
 
     # Register-to-register paths end at write ports (value, enable, index)
     # plus setup time.

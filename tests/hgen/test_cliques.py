@@ -57,13 +57,18 @@ def adjacency_from_edges(n, edges):
     return adj
 
 
+def rows(adjacency):
+    """The neighbour sets as the int bitset rows the partitioner takes."""
+    return [sum(1 << w for w in neigh) for neigh in adjacency]
+
+
 def test_empty_graph():
     assert clique_partition([]) == []
 
 
 def test_isolated_vertices_become_singletons():
     adj = adjacency_from_edges(3, [])
-    assert clique_partition(adj) == [[0], [1], [2]]
+    assert clique_partition(rows(adj)) == [[0], [1], [2]]
 
 
 def test_complete_graph_single_clique():
@@ -71,28 +76,28 @@ def test_complete_graph_single_clique():
     adj = adjacency_from_edges(
         n, [(i, j) for i in range(n) for j in range(i + 1, n)]
     )
-    assert clique_partition(adj) == [[0, 1, 2, 3, 4]]
+    assert clique_partition(rows(adj)) == [[0, 1, 2, 3, 4]]
 
 
 def test_triangle_plus_pendant():
     adj = adjacency_from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    cliques = clique_partition(adj)
-    verify_cliques(adj, cliques)
+    cliques = clique_partition(rows(adj))
+    verify_cliques(rows(adj), cliques)
     assert sorted(map(len, cliques)) == [1, 3]
 
 
 def test_two_disjoint_edges():
     adj = adjacency_from_edges(4, [(0, 1), (2, 3)])
-    cliques = clique_partition(adj)
-    verify_cliques(adj, cliques)
+    cliques = clique_partition(rows(adj))
+    verify_cliques(rows(adj), cliques)
     assert len(cliques) == 2
 
 
 def test_bipartite_path_partition_valid():
     # path 0-1-2-3: optimal cover is two edges
     adj = adjacency_from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    cliques = clique_partition(adj)
-    verify_cliques(adj, cliques)
+    cliques = clique_partition(rows(adj))
+    verify_cliques(rows(adj), cliques)
     assert len(cliques) == 2
 
 
@@ -115,8 +120,8 @@ graphs = st.integers(min_value=0, max_value=14).flatmap(
 def test_partition_is_always_valid(graph):
     n, edges = graph
     adj = adjacency_from_edges(n, edges) if n else []
-    cliques = clique_partition(adj)
-    verify_cliques(adj, cliques)  # disjoint, covering, truly cliques
+    cliques = clique_partition(rows(adj))
+    verify_cliques(rows(adj), cliques)  # disjoint, covering, truly cliques
 
 
 @settings(max_examples=80, deadline=None)
@@ -124,16 +129,26 @@ def test_partition_is_always_valid(graph):
 def test_partition_never_exceeds_vertex_count(graph):
     n, edges = graph
     adj = adjacency_from_edges(n, edges) if n else []
-    cliques = clique_partition(adj)
+    cliques = clique_partition(rows(adj))
     assert sum(len(c) for c in cliques) == n
 
 
 def test_verify_rejects_non_clique():
     adj = adjacency_from_edges(3, [(0, 1)])
     try:
-        verify_cliques(adj, [[0, 1, 2]])
+        verify_cliques(rows(adj), [[0, 1, 2]])
     except AssertionError:
         pass
+    else:
+        raise AssertionError("expected verify_cliques to fail")
+
+
+def test_verify_rejects_vertex_in_two_cliques():
+    adj = adjacency_from_edges(3, [(0, 1), (1, 2)])
+    try:
+        verify_cliques(rows(adj), [[0, 1], [1, 2]])
+    except AssertionError as exc:
+        assert "vertex 1 in two cliques" in str(exc)
     else:
         raise AssertionError("expected verify_cliques to fail")
 
@@ -141,7 +156,7 @@ def test_verify_rejects_non_clique():
 def test_verify_rejects_missing_vertex():
     adj = adjacency_from_edges(2, [])
     try:
-        verify_cliques(adj, [[0]])
+        verify_cliques(rows(adj), [[0]])
     except AssertionError:
         pass
     else:
@@ -161,7 +176,7 @@ def test_component_partition_equals_whole_graph_greedy(graph):
     the component-wise run must agree exactly."""
     n, edges = graph
     adj = adjacency_from_edges(n, edges) if n else []
-    assert clique_partition(adj) == _greedy_partition(adj)
+    assert clique_partition(rows(adj)) == _greedy_partition(rows(adj))
 
 
 def test_isomorphic_components_share_one_greedy_run(monkeypatch):
@@ -177,7 +192,7 @@ def test_isomorphic_components_share_one_greedy_run(monkeypatch):
         return greedy(local_adjacency)
 
     monkeypatch.setattr(cliques_module, "_greedy_partition", counting)
-    assert clique_partition(adj) == [[0, 1, 2], [3, 4, 5]]
+    assert clique_partition(rows(adj)) == [[0, 1, 2], [3, 4, 5]]
     assert runs == [3]
 
 
@@ -203,8 +218,8 @@ def test_bitset_greedy_equals_set_reference(graph):
     n, edges = graph
     adj = adjacency_from_edges(n, edges)
     expected = reference_greedy(adj)
-    assert _greedy_partition(adj) == expected
-    assert clique_partition(adj) == expected
+    assert _greedy_partition(rows(adj)) == expected
+    assert clique_partition(rows(adj)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,8 +236,8 @@ def test_interleaved_copies_share_greedy_runs_and_match_reference(graph,
         for c in range(copies) for a, b in edges
     ])
     expected = reference_greedy(adj)
-    assert clique_partition(adj) == expected
-    single = clique_partition(adjacency_from_edges(n, edges))
+    assert clique_partition(rows(adj)) == expected
+    single = clique_partition(rows(adjacency_from_edges(n, edges)))
     assert expected == sorted(
         ([v * copies + c for v in clique]
          for c in range(copies) for clique in single),

@@ -1,9 +1,20 @@
 """Tests for decode-line generation (§4.2) and Verilog emission."""
 
-from repro.encoding.signature import SignatureTable
+import glob
+import os
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.arch import ARCHITECTURES, description_for
+from repro.encoding.signature import Signature, SignatureTable
 from repro.hgen.decode import decode_line, decode_lines_for
 from repro.hgen.synthesize import synthesize
 from repro.hgen.verilog import count_lines
+from repro.isdl import load_file
+
+EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                        "examples")
 
 
 def test_decode_line_from_signature(risc16_desc):
@@ -50,9 +61,57 @@ def test_all_operations_have_decode_lines(spam_desc):
     assert len(lines) == sum(len(f.operations) for f in spam_desc.fields)
 
 
-def test_empty_literals_equation():
-    from repro.encoding.signature import Signature
+def _walked_literals(signature):
+    """The literals a walk over every word bit of the symbol image finds."""
+    return tuple(
+        (position, symbol)
+        for position, symbol in enumerate(signature.symbols)
+        if symbol in (0, 1)
+    )
 
+
+def _every_signature():
+    descriptions = [description_for(name) for name in sorted(ARCHITECTURES)]
+    descriptions += [
+        load_file(path, validate=False)
+        for path in sorted(glob.glob(os.path.join(EXAMPLES, "*.isdl")))
+    ]
+    for desc in descriptions:
+        table = SignatureTable(desc)
+        yield from table.operation_signatures.values()
+        yield from table.option_signatures.values()
+
+
+def test_decode_line_literals_equal_a_walk_over_the_symbols():
+    # the mask-derived literals, on every operation and option of the
+    # shipped architectures and the example descriptions
+    signatures = list(_every_signature())
+    assert signatures
+    for signature in signatures:
+        line = decode_line("x", signature)
+        assert line.literals == _walked_literals(signature)
+
+
+symbol_images = st.lists(
+    st.one_of(
+        st.none(),
+        st.sampled_from([0, 1]),
+        st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 7)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symbol_images)
+def test_decode_line_literals_equal_a_walk_on_any_symbol_image(symbols):
+    signature = Signature(len(symbols), tuple(symbols))
+    assert decode_line("x", signature).literals == _walked_literals(
+        signature
+    )
+
+
+def test_empty_literals_equation():
     line = decode_line("x", Signature(4, (None,) * 4))
     assert line.equation() == "1"
     assert line.matches(0b1010)

@@ -1,9 +1,12 @@
 """Tests for the resource-sharing matrix (paper §4.1.2, Fig. 5 rules)."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import description_for
 from repro.explore import transforms
+from repro.isdl import ast
 from repro.hgen.nodes import extract_nodes
 from repro.hgen.sharing import (
     SharingAnalysis,
@@ -103,17 +106,34 @@ def test_matrix_is_symmetric_with_zero_diagonal(risc16_desc):
 
 
 def _matrix_rows(matrix):
-    return [{j for j, entry in enumerate(row) if entry} for row in matrix]
+    return [
+        sum(1 << j for j, entry in enumerate(row) if entry) for row in matrix
+    ]
 
 
-#: SPAM with a constraint added, and SPAM children whose nodes or
-#: constraints differ from its own: a field loses an operation, a whole
-#: field goes with the two constraints naming it, INT loses ``jmp`` and
-#: ``halt`` with the constraint on ``jmp``, and the register file narrows
+def _require_add_or_sub(spam):
+    """SPAM plus ``require INT.add | INT.sub``: false on every two-field
+    selection without INT, so it makes any two operations of two other
+    fields exclusive."""
+    expr = ast.COr(ast.COpRef("INT", "add"), ast.COpRef("INT", "sub"))
+    constraint = ast.Constraint(expr, text="require INT.add | INT.sub")
+    return dataclasses.replace(
+        spam, name=f"{spam.name}+r",
+        constraints=list(spam.constraints) + [constraint],
+    )
+
+
+#: SPAM with a constraint added (a ``forbid`` on two operations, and a
+#: ``require`` that also decides the pairs of fields it does not name),
+#: and SPAM children whose nodes or constraints differ from its own: a
+#: field loses an operation, a whole field goes with the two constraints
+#: naming it, INT loses ``jmp`` and ``halt`` with the constraint on
+#: ``jmp``, and the register file narrows
 SPAM_VARIANTS = {
     "spam+c": lambda spam: transforms.add_constraint(
         spam, "FP1", "fadd", "FP2", "fmul"
     ),
+    "spam+require": _require_add_or_sub,
     "spam-fadd": lambda spam: transforms.drop_operation(spam, "FP1", "fadd"),
     "spam-mv3": lambda spam: transforms.drop_field(spam, "MV3"),
     "spam-int-tail": lambda spam: transforms.drop_operations(
@@ -131,9 +151,9 @@ def _sharing_description(name):
 
 
 def test_adjacency_matches_matrix():
-    # the class-bucketed rows against the per-pair reference, on every
-    # node of every architecture and SPAM variant, with and without
-    # constraints
+    # the bitset rows built per operation against the per-pair
+    # reference, on every node of every architecture and SPAM variant,
+    # with and without constraints
     for name in ("acc8", "risc16", "spam", "spam2", *SPAM_VARIANTS):
         desc = _sharing_description(name)
         for use_constraints in (True, False):
@@ -142,8 +162,17 @@ def test_adjacency_matches_matrix():
             matrix = SharingAnalysis(desc, nodes, use_constraints).matrix()
             expected = _matrix_rows(matrix)
             assert analysis.adjacency() == expected, (name, use_constraints)
-            rows = [analysis.row(i) for i in range(len(nodes))]
-            assert rows == expected, (name, use_constraints)
+
+
+def _edges(desc):
+    rows = SharingAnalysis(desc, extract_nodes(desc)).adjacency()
+    return sum(row.bit_count() for row in rows) // 2
+
+
+def test_require_on_one_field_excludes_pairs_of_other_fields(spam_desc):
+    # the require is false on any selection of two other fields, so
+    # their operations become exclusive and share far more
+    assert _edges(_require_add_or_sub(spam_desc)) > 2 * _edges(spam_desc)
 
 
 def test_class_compatibility_and_merge():

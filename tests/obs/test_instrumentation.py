@@ -129,6 +129,25 @@ def test_synthesis_does_not_recheck_its_input(spam2_desc):
     assert "isdl.diagnose" not in stages
 
 
+def test_evaluation_times_its_retarget_and_template_setups(spam2_desc):
+    # the compiler's ISA analysis and the assembler's template compilation
+    # run once per candidate, however many kernels it measures
+    from repro.codegen.kernels import resolve_kernels
+    from repro.explore.metrics import evaluate
+
+    obs.enable()
+    kernels = resolve_kernels(["sum:10", "blockmove:8"])
+    assert evaluate(spam2_desc, kernels, cache=ArtifactCache()).feasible
+    records = obs.tracer().finished()
+    names = [r.name for r in records]
+    assert names.count("codegen.retarget") == 1
+    assert names.count("asm.templates") == 1
+    assert names.count("codegen.compile") == 2
+    depth = {r.name: r.depth for r in records}
+    assert depth["codegen.retarget"] == depth["explore.evaluate"] + 1
+    assert depth["asm.templates"] > depth["explore.evaluate"]
+
+
 def test_exploration_covers_six_plus_stages_and_valid_trace(tmp_path):
     obs.enable()
     explorer = Explorer([_kernel()], cache=ArtifactCache(),
